@@ -20,10 +20,9 @@ Safety rules, enforced by convention across :mod:`repro.crf.batch` and
 - Arenas are **not** shared between threads.  The serving tier decodes
   batches on executor threads, so the hot paths reach their arena via
   :func:`get_arena`, which hands each thread its own instance.
-- Every public entry point that uses an arena also accepts
-  ``arena=None`` and then allocates fresh arrays, preserving the
-  original (alias-free) semantics for external callers and for the
-  equivalence tests that pin the two paths together.
+- Every batched entry point takes its arena as a required argument;
+  the equivalence tests pin arena-backed results to the per-sequence
+  oracles in :mod:`repro.crf.inference`.
 
 Buffers grow geometrically to the largest shape seen and never shrink;
 ``chunk_size`` bounds ``R`` and the longest record bounds ``T``, so the

@@ -141,22 +141,18 @@ class EncodedBatch:
             yield _subset(self, rows)
 
     def potentials(
-        self, view: ParamView, *, arena: TensorArena | None = None
+        self, view: ParamView, *, arena: TensorArena
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batch emission ``(R,T,S)`` and transition ``(R,T-1,S,S)`` scores.
 
-        With an ``arena``, both tensors are backed by its pooled buffers
-        (valid until the arena's next batch); without one, fresh arrays
-        are allocated as before.  When no edge attributes fire the arena
-        path returns the transition block as a read-only broadcast view
-        of ``view.trans`` -- zero copies for the common homogeneous case.
+        Both tensors are backed by the ``arena``'s pooled buffers (valid
+        until the arena's next batch).  When no edge attributes fire the
+        transition block is a read-only broadcast view of ``view.trans``
+        -- zero copies for the common homogeneous case.
         """
         n_r, t_max, n_s = self.n_records, self.t_max, self.n_states
         t1 = max(t_max - 1, 0)
-        if arena is None:
-            emit = np.zeros((n_r * t_max, n_s))
-        else:
-            emit = arena.zeros("pot_emit", (n_r * t_max, n_s))
+        emit = arena.zeros("pot_emit", (n_r * t_max, n_s))
         if self.obs_a.size:
             _scatter_rows(emit, self.obs_rt, view.obs[self.obs_a])
         emit = emit.reshape(n_r, t_max, n_s)
@@ -165,19 +161,13 @@ class EncodedBatch:
         # contribute a fixed additive constant we cancel explicitly: instead
         # we simply never read alpha past each sequence's length.
         if self.edge_a.size:
-            if arena is None:
-                trans = np.broadcast_to(view.trans, (n_r * t1, n_s, n_s)).copy()
-            else:
-                trans = arena.take("pot_trans", (n_r * t1, n_s, n_s))
-                trans[:] = view.trans
+            trans = arena.take("pot_trans", (n_r * t1, n_s, n_s))
+            trans[:] = view.trans
             _scatter_rows(
                 trans.reshape(len(trans), -1),
                 self.edge_rt,
                 view.edge[self.edge_a].reshape(len(self.edge_a), -1),
             )
-            trans = trans.reshape(n_r, t1, n_s, n_s)
-        elif arena is None:
-            trans = np.broadcast_to(view.trans, (n_r * t1, n_s, n_s)).copy()
             trans = trans.reshape(n_r, t1, n_s, n_s)
         else:
             trans = np.broadcast_to(view.trans, (n_r, t1, n_s, n_s))
@@ -204,19 +194,16 @@ def batch_forward_backward(
     emit: np.ndarray,
     trans: np.ndarray,
     *,
-    arena: TensorArena | None = None,
+    arena: TensorArena,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched alpha, beta, and per-record logZ.
 
-    With an ``arena`` the alpha/beta tables live in its pooled buffers and
-    are only valid until the next batch on the same arena; ``log_z`` is
-    always a fresh array.
+    The alpha/beta tables live in the ``arena``'s pooled buffers and are
+    only valid until the next batch on the same arena; ``log_z`` is a
+    fresh array.
     """
     n_r, t_max, n_s = emit.shape
-    if arena is None:
-        alpha = np.empty((n_r, t_max, n_s))
-    else:
-        alpha = arena.take("fb_alpha", (n_r, t_max, n_s))
+    alpha = arena.take("fb_alpha", (n_r, t_max, n_s))
     alpha[:, 0] = emit[:, 0]
     for t in range(1, t_max):
         prev = alpha[:, t - 1]
@@ -228,10 +215,7 @@ def batch_forward_backward(
     last = batch.lengths - 1
     log_z = _logsumexp(alpha[np.arange(n_r), last], axis=1)
 
-    if arena is None:
-        beta = np.zeros((n_r, t_max, n_s))
-    else:
-        beta = arena.zeros("fb_beta", (n_r, t_max, n_s))
+    beta = arena.zeros("fb_beta", (n_r, t_max, n_s))
     for t in range(t_max - 2, -1, -1):
         nxt = emit[:, t + 1] + beta[:, t + 1]
         scores = trans[:, t] + nxt[:, None, :]

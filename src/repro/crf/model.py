@@ -14,12 +14,7 @@ from repro.crf.arena import get_arena
 from repro.crf.batch import EncodedBatch
 from repro.crf.decode import batch_marginals, batch_viterbi
 from repro.crf.features import EncodedSequence, FeatureIndex, Sequence
-from repro.crf.inference import (
-    log_partition,
-    node_marginals,
-    posterior_score,
-    viterbi,
-)
+from repro.crf.inference import log_partition, posterior_score
 from repro.crf.objective import ParamView, sequence_potentials
 from repro.crf.train import LBFGSTrainer, SGDTrainer, TrainLog, TrainerState
 
@@ -224,33 +219,21 @@ class ChainCRF:
             raise RuntimeError("model is not fitted")
         return self.index, ParamView.of(self.params, self.index)
 
-    def _potentials(self, seq: Sequence | list[list[str]]):
-        index, view = self._require_fitted()
-        encoded = index.encode(_as_sequence(seq))
-        return index, sequence_potentials(encoded, view, index.n_states)
-
     def predict(self, seq: Sequence | list[list[str]]) -> list[str]:
-        """Most likely label sequence (Viterbi decoding, eq. (5))."""
-        if len(_as_sequence(seq)) == 0:
-            return []
-        index, (emit, trans) = self._potentials(seq)
-        return index.decode_labels(viterbi(emit, trans).tolist())
-
-    def predict_batch(
-        self, sequences: Iterable[Sequence | list[list[str]]]
-    ) -> list[list[str]]:
-        """Viterbi-decode each sequence (see :meth:`predict_many`)."""
-        return [self.predict(seq) for seq in sequences]
+        """Most likely label sequence (Viterbi decoding, eq. (5)); a
+        batch of one through :meth:`predict_many`."""
+        return self.predict_many([seq])[0]
 
     def _decode_many(self, sequences, decode, empty, *, chunk_size: int):
-        """Shared batched-decoding driver for the ``*_many`` methods.
+        """The batched decoding driver every prediction method runs on.
 
         Accepts raw or pre-encoded sequences.  Non-empty sequences are
         sorted by length and padded into per-chunk :class:`EncodedBatch`
         objects (bounding peak memory at roughly ``chunk_size * T_max *
         S^2`` floats; length-sorting keeps each chunk's padding tight),
         and per-record results are scattered back into input order; empty
-        sequences map to ``empty``.
+        sequences map to ``empty``.  Single-sequence calls are batches of
+        one, so there is exactly one inference path.
         """
         index, view = self._require_fitted()
         encoded = [
@@ -285,13 +268,12 @@ class ChainCRF:
     ) -> list[list[str]]:
         """Batched Viterbi decoding of many sequences at once.
 
-        Produces exactly the same label sequences as calling
-        :meth:`predict` per sequence (empty sequences yield ``[]``), but
-        runs the recursions across all sequences of a chunk in dense numpy
-        ops -- the bulk path Section 6's survey-scale parse runs on.
-        Items may be pre-encoded (:class:`EncodedSequence`), in which case
-        the per-sequence attribute-to-id resolution is skipped too -- the
-        :class:`~repro.parser.bulk.BulkPipeline` cache feeds this form.
+        Empty sequences yield ``[]``.  The recursions run across all
+        sequences of a chunk in dense numpy ops -- the path Section 6's
+        survey-scale parse runs on.  Items may be pre-encoded
+        (:class:`EncodedSequence`), in which case the per-sequence
+        attribute-to-id resolution is skipped too -- the
+        :class:`~repro.parser.bulk.LineEncoder` cache feeds this form.
         """
         index = self.index
 
@@ -305,44 +287,51 @@ class ChainCRF:
             sequences, decode, lambda _index: [], chunk_size=chunk_size
         )
 
-    def predict_marginals_many(
+    def predict_with_marginals_many(
         self,
         sequences: Iterable[Sequence | EncodedSequence | list[list[str]]],
         *,
         chunk_size: int = 256,
-    ) -> list[np.ndarray]:
-        """Batched per-token posteriors, one ``(T, n_states)`` array each."""
+    ) -> list[tuple[list[str], np.ndarray]]:
+        """Viterbi labels and per-token posteriors ``Pr(y_t | x)`` (shape
+        ``(T, n_states)``) per sequence, both from one potentials pass
+        per chunk."""
+        index = self.index
+
+        def decode(chunk, emit, trans, arena):
+            paths = batch_viterbi(chunk, emit, trans, arena=arena)
+            marginals = batch_marginals(chunk, emit, trans, arena=arena)
+            return [
+                (index.decode_labels(path.tolist()), node)
+                for path, node in zip(paths, marginals)
+            ]
+
         return self._decode_many(
             sequences,
-            lambda chunk, emit, trans, arena: batch_marginals(
-                chunk, emit, trans, arena=arena
-            ),
-            lambda index: np.zeros((0, index.n_states)),
+            decode,
+            lambda index: ([], np.zeros((0, index.n_states))),
             chunk_size=chunk_size,
         )
 
     def predict_marginals(self, seq: Sequence | list[list[str]]) -> np.ndarray:
         """Per-token posterior ``Pr(y_t | x)``, shape ``(T, n_states)``."""
-        index, (emit, trans) = self._potentials(seq)
-        return node_marginals(emit, trans)
+        return self.predict_with_marginals(seq)[1]
 
     def predict_with_marginals(
         self, seq: Sequence | list[list[str]]
     ) -> tuple[list[str], np.ndarray]:
-        """Viterbi labels and per-token posteriors from one set of
-        potentials (featurize/encode/potentials computed once, not twice)."""
-        index, _view = self._require_fitted()
-        if len(_as_sequence(seq)) == 0:
-            return [], np.zeros((0, index.n_states))
-        index, (emit, trans) = self._potentials(seq)
-        labels = index.decode_labels(viterbi(emit, trans).tolist())
-        return labels, node_marginals(emit, trans)
+        """Viterbi labels and per-token posteriors of one sequence; a batch
+        of one through :meth:`predict_with_marginals_many`."""
+        return self.predict_with_marginals_many([seq])[0]
 
     def log_likelihood(
         self, seq: Sequence | list[list[str]], labels: TypingSequence[str]
     ) -> float:
         """``ln Pr(labels | seq)`` under the fitted model."""
-        index, (emit, trans) = self._potentials(seq)
+        index, view = self._require_fitted()
+        emit, trans = sequence_potentials(
+            index.encode(_as_sequence(seq)), view, index.n_states
+        )
         encoded_labels = np.asarray(index.encode_labels(list(labels)), dtype=np.intp)
         return posterior_score(emit, trans, encoded_labels) - log_partition(
             emit, trans

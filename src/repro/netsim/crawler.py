@@ -20,7 +20,6 @@ have gone dark.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
@@ -124,9 +123,9 @@ class CrawlStats:
     Statuses are tracked per domain: re-recording a domain (a retried
     crawl, or a later quarantine of its thick record) *moves* it between
     buckets instead of double-counting it, so ``failure_rate`` stays a
-    fraction of distinct existing domains.  The legacy int fields
-    (``ok``, ``no_match``, ``thin_only``, ``failed``, ``total``) are
-    read-only views; assigning to them still works but is deprecated.
+    fraction of distinct existing domains.  The int fields (``ok``,
+    ``no_match``, ``thin_only``, ``failed``, ``quarantined``, ``total``)
+    are read-only counts derived from those statuses.
     """
 
     def __init__(self) -> None:
@@ -162,60 +161,30 @@ class CrawlStats:
         self._status_by_domain[domain] = status
         self._status_counts[status] += 1
 
-    # -- legacy int fields, derived (assignment deprecated) -------------
+    # -- status counts, derived from per-domain statuses -----------------
 
     def _count(self, status: str) -> int:
         return self._status_counts[status]
-
-    def _override(self, status: str, value: int) -> None:
-        warnings.warn(
-            f"direct mutation of CrawlStats.{status} is deprecated; "
-            "use CrawlStats.record(result) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        # Honor the write: detach the bucket from per-domain tracking.
-        self._status_counts[status] = value
 
     @property
     def ok(self) -> int:
         """Domains whose thick record was fetched and kept."""
         return self._count("ok")
 
-    @ok.setter
-    def ok(self, value: int) -> None:
-        """Deprecated: detaches the bucket from per-domain tracking."""
-        self._override("ok", value)
-
     @property
     def no_match(self) -> int:
         """Domains the registry reported as unregistered."""
         return self._count("no_match")
-
-    @no_match.setter
-    def no_match(self, value: int) -> None:
-        """Deprecated: detaches the bucket from per-domain tracking."""
-        self._override("no_match", value)
 
     @property
     def thin_only(self) -> int:
         """Domains where only the registry's thin record arrived."""
         return self._count("thin_only")
 
-    @thin_only.setter
-    def thin_only(self, value: int) -> None:
-        """Deprecated: detaches the bucket from per-domain tracking."""
-        self._override("thin_only", value)
-
     @property
     def failed(self) -> int:
         """Domains with no usable record at all."""
         return self._count("failed")
-
-    @failed.setter
-    def failed(self, value: int) -> None:
-        """Deprecated: detaches the bucket from per-domain tracking."""
-        self._override("failed", value)
 
     @property
     def quarantined(self) -> int:
@@ -226,16 +195,6 @@ class CrawlStats:
     def total(self) -> int:
         """Distinct domains with any recorded status."""
         return sum(self._status_counts.values())
-
-    @total.setter
-    def total(self, value: int) -> None:
-        """Deprecated no-op: total always derives from statuses."""
-        warnings.warn(
-            "direct mutation of CrawlStats.total is deprecated and has no "
-            "effect; total derives from recorded statuses",
-            DeprecationWarning,
-            stacklevel=2,
-        )
 
     # -- the Section 4.1 ratios ----------------------------------------
 

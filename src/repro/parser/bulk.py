@@ -150,15 +150,6 @@ class LineEncoder:
             self.hits += 1
         return profile
 
-    def _is_labelable(self, line: str) -> bool:
-        """Memoized :func:`repro.whois.records.is_labelable`."""
-        labelable = self._labelable.get(line)
-        if labelable is None:
-            labelable = is_labelable(line)
-            if len(self._labelable) < self.cache_size:
-                self._labelable[line] = labelable
-        return labelable
-
     @property
     def hit_rate(self) -> float:
         """Cumulative cache hit rate over every line encoded so far."""

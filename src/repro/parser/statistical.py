@@ -29,7 +29,7 @@ from repro.domain import DomainSpec, get_domain, sub_segments
 from repro.parser.api import ParserBase
 from repro.parser.fields import ParsedRecord
 from repro.whois.features import FeaturizerConfig, WhoisFeaturizer
-from repro.whois.records import LabeledRecord, WhoisRecord, is_labelable
+from repro.whois.records import LabeledRecord, WhoisRecord
 
 
 def _block_runs(blocks: list[str], label: str) -> list[tuple[int, int]]:
@@ -270,28 +270,21 @@ class WhoisParser(ParserBase):
             return segment_chars(text)
         return text.splitlines()
 
-    def _labelable(self, raw: list[str]) -> list[str]:
-        """The units of ``raw`` that carry labels (all of them for char
-        granularity -- delimiters are labeled so field values reassemble
-        exactly)."""
-        if self.featurizer.config.granularity == "char":
-            return list(raw)
-        return [ln for ln in raw if is_labelable(ln)]
-
     def predict_blocks(
         self, record: WhoisRecord | LabeledRecord | str
     ) -> list[str]:
         """First-level labels for each labelable line of the record."""
-        raw = self._raw_lines(record)
-        seq = self.featurizer.featurize_lines(raw)
-        return self.block_crf.predict(seq)
+        block_encoder, _ = self._encoders()
+        encoded = block_encoder.encode_record(self._raw_lines(record))
+        return self.block_crf.predict_many([encoded])[0]
 
     def predict_registrant_fields(self, lines: list[str]) -> list[str]:
         """Second-level labels for a contiguous registrant block."""
-        if self.registrant_crf is None or not self.registrant_crf.is_fitted:
+        if not self._has_second_level:
             raise RuntimeError("second-level CRF is not available")
-        seq = self.featurizer.featurize_registrant_lines(lines)
-        return self.registrant_crf.predict(seq)
+        _, registrant_encoder = self._encoders()
+        encoded = registrant_encoder.encode_record(lines)
+        return self.registrant_crf.predict_many([encoded])[0]
 
     @property
     def _has_second_level(self) -> bool:
@@ -301,19 +294,7 @@ class WhoisParser(ParserBase):
         self, record: WhoisRecord | LabeledRecord | str
     ) -> list[tuple[str, str, str | None]]:
         """(line, block, sub) for each labelable line; sub only on registrant."""
-        raw = self._raw_lines(record)
-        lines = self._labelable(raw)
-        # Featurize once; predict_blocks() would featurize a second time.
-        blocks = self.block_crf.predict(self.featurizer.featurize_lines(raw))
-        subs: list[str | None] = [None] * len(lines)
-        if self._has_second_level:
-            for start, end in _block_runs(blocks, self.spec.sub_block):
-                segment = lines[start:end]
-                for j, sub in enumerate(
-                    self.predict_registrant_fields(segment)
-                ):
-                    subs[start + j] = sub
-        return list(zip(lines, blocks, subs))
+        return self.label_lines_many([record])[0]
 
     def line_confidences(
         self, record: WhoisRecord | LabeledRecord | str
@@ -322,16 +303,19 @@ class WhoisParser(ParserBase):
 
         The confidence is the CRF's posterior marginal ``Pr(y_t | x)`` for
         the Viterbi label -- useful for routing low-confidence records to a
-        human labeler, the workflow Section 5.3 implies.
+        human labeler, the workflow Section 5.3 implies.  Labels and
+        marginals come from one batched decode over one encoding, and the
+        encoding warms the same line cache a following :meth:`parse_many`
+        reads.
         """
-        raw = self._raw_lines(record)
-        lines = self._labelable(raw)
-        if not lines:
-            return []
-        seq = self.featurizer.featurize_lines(raw)
-        # One featurize/encode/potentials pass serves both Viterbi and
-        # forward-backward (they used to run from scratch separately).
-        blocks, marginals = self.block_crf.predict_with_marginals(seq)
+        block_encoder, _ = self._encoders()
+        lines: list[str] = []
+        encoded = block_encoder.encode_record(
+            self._raw_lines(record), collect=lines
+        )
+        [(blocks, marginals)] = self.block_crf.predict_with_marginals_many(
+            [encoded]
+        )
         label_ids = self.block_crf.index.label_ids
         return [
             (line, block, float(marginals[t, label_ids[block]]))
@@ -350,8 +334,9 @@ class WhoisParser(ParserBase):
         return spec.assemble_record(lines, blocks, subs)
 
     def parse(self, record: WhoisRecord | LabeledRecord | str) -> ParsedRecord:
-        """Full parse: label lines, then extract structured fields."""
-        return self._assemble(self.label_lines(record))
+        """Full parse: label lines, then extract structured fields; a
+        batch of one through :meth:`parse_many`."""
+        return self.parse_many([record])[0]
 
     # ------------------------------------------------------------------
     # Bulk inference (the survey-scale path of Section 6)
@@ -362,8 +347,17 @@ class WhoisParser(ParserBase):
 
         Cached encodings are only valid for the current vocabularies and
         lexicon, so ``fit``/``partial_fit`` drop them (see
-        :class:`repro.parser.bulk.LineEncoder`).
+        :class:`repro.parser.bulk.LineEncoder`).  Every inference method
+        encodes through them.
+
+        Concurrent callers (the serving tier's RDAP route and its parse
+        batcher run on different executor threads) may share them: every
+        cache access is a single dict lookup or insert of an immutable
+        value, so a race only analyzes a line twice; the hit/miss
+        counters may undercount.
         """
+        if not self.block_crf.is_fitted:
+            raise RuntimeError("parser is not fitted")
         if self._bulk_encoders is None:
             from repro.parser.bulk import LineEncoder
 

@@ -14,7 +14,6 @@ in the backend instead of copying entry lists.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from datetime import date
 from typing import Callable, Iterable, Iterator
@@ -99,10 +98,8 @@ class SurveyDatabase:
 
     Construction takes an optional backend (``SurveyDatabase()`` keeps
     the historical in-memory behavior); filters return views onto the
-    same backend.  The legacy ``.entries`` / ``.quarantine`` list
-    attributes survive as deprecated materializing shims -- new code
-    iterates (``for entry in db``), counts (``len(db)``), or queries
-    (:meth:`get`, :meth:`group_counts`) instead.
+    same backend.  Callers iterate (``for entry in db``), count
+    (``len(db)``), or query (:meth:`get`, :meth:`group_counts`).
     """
 
     def __init__(
@@ -145,54 +142,6 @@ class SurveyDatabase:
     def close(self) -> None:
         """Flush and release the backend (a no-op for memory stores)."""
         self.store.close()
-
-    # ------------------------------------------------------------------
-    # Deprecated list shims
-    # ------------------------------------------------------------------
-
-    @property
-    def entries(self) -> list[DomainEntry]:
-        """Deprecated: the materialized entry list.
-
-        Kept for source compatibility; it copies every row into memory,
-        which defeats the streaming backends.  Iterate the database (or
-        use :meth:`group_counts` / :meth:`get`) instead.
-        """
-        warnings.warn(
-            "SurveyDatabase.entries materializes the full entry list; "
-            "iterate the database or use the query API instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.store.iter_entries(self._filter))
-
-    @entries.setter
-    def entries(self, value: list[DomainEntry]) -> None:
-        warnings.warn(
-            "assigning SurveyDatabase.entries is deprecated; build a "
-            "MemoryStore (or use the filter views) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        store = MemoryStore()
-        store.extend(value)
-        self.store = store
-        self._filter = MATCH_ALL
-
-    @property
-    def quarantine(self) -> list[QuarantinedRecord]:
-        """Deprecated: the materialized quarantine list.
-
-        Use :meth:`iter_quarantine`, :meth:`quarantine_counts`, or
-        :attr:`n_quarantined` instead.
-        """
-        warnings.warn(
-            "SurveyDatabase.quarantine materializes the quarantine "
-            "table; use iter_quarantine()/quarantine_counts() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.store.iter_quarantine())
 
     # ------------------------------------------------------------------
     # Ingest

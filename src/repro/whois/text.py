@@ -20,7 +20,10 @@ import re
 # ("12:30:00") and URLs ("http://") inside values don't get split.
 _DOT_LEADER = re.compile(r"\.{2,}:?")
 _WORD = re.compile(r"[a-z0-9]+")
-_EMAIL = re.compile(r"[\w.+-]+@[\w-]+(\.[\w-]+)+", re.UNICODE)
+# has_email checks outward from each "@"; one search for the whole address
+# pattern retries the local-part run from every start, quadratic in length.
+_EMAIL_LOCAL_CHAR = re.compile(r"[\w.+-]")
+_EMAIL_HOST = re.compile(r"[\w-]+\.[\w-]")
 _URL = re.compile(r"(https?://|www\.)\S+", re.IGNORECASE)
 _FIVE_DIGIT = re.compile(r"(?<!\d)\d{5}(?!\d)")
 _PHONE = re.compile(r"\+?\d[\d\s().-]{6,}\d")
@@ -123,6 +126,23 @@ def detect_symbol_start(line: str) -> bool:
     return not (first.isalnum() or first in "\"'([{<")
 
 
+def has_email(text: str) -> bool:
+    """True when ``text`` contains an email address.
+
+    Equals ``bool(re.search(r"[\\w.+-]+@[\\w-]+(\\.[\\w-]+)+", text))``
+    in linear time: the host run after each ``@`` stops at the next
+    ``@``, so no character is scanned for more than one ``@``.
+    """
+    at = text.find("@", 1)
+    while at != -1:
+        if _EMAIL_LOCAL_CHAR.match(text, at - 1) and _EMAIL_HOST.match(
+            text, at + 1
+        ):
+            return True
+        at = text.find("@", at + 1)
+    return False
+
+
 def word_classes(text: str) -> list[str]:
     """Shape features of the form in eq. (7): the classes of text present.
 
@@ -130,7 +150,7 @@ def word_classes(text: str) -> list[str]:
     dictionary words.
     """
     classes: list[str] = []
-    if _EMAIL.search(text):
+    if has_email(text):
         classes.append("CLS:email")
     if _URL.search(text):
         classes.append("CLS:url")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crf.arena import TensorArena
 from repro.crf.batch import EncodedBatch, batch_forward_backward, batch_nll_grad
 from repro.crf.features import FeatureIndex, Sequence
 from repro.crf.objective import ParamView, dataset_nll_grad, sequence_potentials
@@ -78,8 +79,9 @@ def test_batched_log_partition_matches_per_sequence(seed):
     params = rng.normal(size=index.n_features)
     view = ParamView.of(params, index)
     batch = EncodedBatch(dataset, index)
-    emit, trans = batch.potentials(view)
-    _alpha, _beta, log_z = batch_forward_backward(batch, emit, trans)
+    arena = TensorArena()
+    emit, trans = batch.potentials(view, arena=arena)
+    _alpha, _beta, log_z = batch_forward_backward(batch, emit, trans, arena=arena)
     for r, (encoded, _labels) in enumerate(dataset):
         e, t = sequence_potentials(encoded, view, index.n_states)
         assert log_z[r] == pytest.approx(log_partition(e, t), rel=1e-9)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crf.features import FeatureIndex, Sequence
+from repro.crf.inference import node_marginals, viterbi
 from repro.crf.model import ChainCRF
-from repro.crf.objective import ParamView, dataset_nll_grad
+from repro.crf.objective import ParamView, dataset_nll_grad, sequence_potentials
 from repro.crf.train import LBFGSTrainer, SGDTrainer
 
 
@@ -248,6 +249,48 @@ def test_predict_marginals_form_distribution():
     marginals = crf.predict_marginals(Sequence(obs=[["hot"], ["cold"]]))
     np.testing.assert_allclose(marginals.sum(axis=1), 1.0, atol=1e-9)
     assert marginals[0, 0] > 0.9  # "hot" -> state h with high confidence
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=25, deadline=None)
+def test_predictions_match_per_sequence_oracle(seed):
+    # predict / predict_with_marginals run the batched kernel as a batch
+    # of one; on random models with edge features they must equal the
+    # per-sequence Viterbi and forward-backward of crf/inference.py.
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(6)]
+    seqs = []
+    for _ in range(5):
+        length = int(rng.integers(1, 7))
+        seqs.append(Sequence(
+            obs=[
+                list(rng.choice(words, size=rng.integers(1, 3), replace=False))
+                for _ in range(length)
+            ],
+            edge=[
+                list(rng.choice(["NL", "SHL"], size=rng.integers(0, 3),
+                                replace=False))
+                for _ in range(length)
+            ],
+        ))
+    crf = ChainCRF(["a", "b", "c"])
+    crf.index = FeatureIndex(crf.labels).build(seqs)
+    crf.params = rng.normal(size=crf.index.n_features)
+    view = ParamView.of(crf.params, crf.index)
+    expected = []
+    for seq in seqs:
+        emit, trans = sequence_potentials(
+            crf.index.encode(seq), view, crf.index.n_states
+        )
+        labels = crf.index.decode_labels(viterbi(emit, trans).tolist())
+        expected.append(labels)
+        assert crf.predict(seq) == labels
+        got_labels, marginals = crf.predict_with_marginals(seq)
+        assert got_labels == labels
+        np.testing.assert_allclose(
+            marginals, node_marginals(emit, trans), atol=1e-10
+        )
+    assert crf.predict_many(seqs, chunk_size=2) == expected
 
 
 def test_log_likelihood_ordering():

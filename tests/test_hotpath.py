@@ -6,7 +6,7 @@ file descriptors (so spawned workers and hot-swaps share one physical
 weight copy), (2) the persistent line-encoder cache round-trips through
 disk, is rejected on vocabulary mismatch, and makes a restarted parser
 hit on its very first batch, and (3) arena-backed decoding equals the
-alias-free allocation path exactly while reusing pooled buffers.
+per-sequence oracles while reusing pooled buffers.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from repro import obs
 from repro.crf.arena import TensorArena
 from repro.crf.batch import EncodedBatch
 from repro.crf.decode import batch_marginals, batch_viterbi
-from repro.crf.objective import ParamView
+from repro.crf.inference import node_marginals, viterbi
+from repro.crf.objective import ParamView, sequence_potentials
 from repro.datagen import CorpusConfig, CorpusGenerator
 from repro.parser import WhoisParser
 from repro.parser.bulk import LineEncoder
@@ -345,22 +346,24 @@ def test_arena_decode_equals_alias_free_path(world):
     ]
     batch = EncodedBatch.from_encoded(sequences, crf.index)
     view = ParamView.of(crf.params, crf.index)
-    emit0, trans0 = batch.potentials(view)
-    labels0 = batch_viterbi(batch, emit0, trans0)
-    marginals0 = batch_marginals(batch, emit0, trans0)
+    oracle = [
+        sequence_potentials(seq, view, crf.index.n_states)
+        for seq in sequences
+    ]
+    labels0 = [viterbi(emit, trans) for emit, trans in oracle]
+    marginals0 = [node_marginals(emit, trans) for emit, trans in oracle]
 
     arena = TensorArena()
     for _pass in range(2):  # second pass decodes out of reused buffers
         emit1, trans1 = batch.potentials(view, arena=arena)
-        np.testing.assert_array_equal(emit0, emit1)
-        np.testing.assert_array_equal(trans0, np.asarray(trans1))
         labels1 = batch_viterbi(batch, emit1, trans1, arena=arena)
         marginals1 = batch_marginals(batch, emit1, trans1, arena=arena)
         for expected, got in zip(labels0, labels1):
             np.testing.assert_array_equal(expected, got)
             assert got.base is None or not isinstance(got.base, np.ndarray)
         for expected, got in zip(marginals0, marginals1):
-            np.testing.assert_array_equal(expected, got)
+            np.testing.assert_allclose(expected, got, atol=1e-10)
+            assert got.base is None or not isinstance(got.base, np.ndarray)
     allocations_after_first = arena.allocations
     batch.potentials(view, arena=arena)
     assert arena.allocations == allocations_after_first  # steady state

@@ -379,16 +379,6 @@ def test_stats_quarantine_moves_ok_domains():
     assert "quarantined=1" in repr(stats)
 
 
-def test_stats_legacy_int_fields_warn_on_assignment():
-    stats = CrawlStats()
-    with pytest.warns(DeprecationWarning):
-        stats.ok = 7
-    assert stats.ok == 7  # the write is honored
-    with pytest.warns(DeprecationWarning):
-        stats.total = 99
-    assert stats.total == 7  # ...but total always derives
-
-
 def test_stats_reads_do_not_warn():
     stats = CrawlStats()
     stats.record(CrawlResult("a.com", thin_text="t", thick_text="T"))

@@ -151,3 +151,27 @@ def test_featurizer_is_deterministic(lines):
     a = FZR.featurize_lines(lines)
     b = FZR.featurize_lines(lines)
     assert a.obs == b.obs and a.edge == b.edge
+
+
+def test_featurize_time_is_linear_in_line_length():
+    # One long line must cost time proportional to its length: doubling
+    # it at most ~2.5x the featurize time (a quadratic pattern gives 4x).
+    # Rounds alternate the two sizes so a slow stretch of the machine
+    # hits both, and the best round of each is compared.
+    import time
+
+    shapes = {
+        "run": lambda n: "Registrant Name: " + "x" * n,
+        "ats": lambda n: "Registrant Name: " + "x@" * (n // 2),
+        "dots": lambda n: "Registrant Name: " + "a." * (n // 2),
+    }
+    for name, make in shapes.items():
+        lines = {n: make(n) for n in (20_000, 40_000)}
+        best = {n: float("inf") for n in lines}
+        for _round in range(5):
+            for n, line in lines.items():
+                start = time.perf_counter()
+                FZR.featurize_lines([line])
+                best[n] = min(best[n], time.perf_counter() - start)
+        ratio = best[40_000] / best[20_000]
+        assert ratio <= 2.5, f"{name}: doubling the line cost {ratio:.2f}x"

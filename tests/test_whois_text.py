@@ -1,13 +1,16 @@
 """Tests for the Section 3.3 text analysis primitives."""
 
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.whois.lexicon import Lexicon
 from repro.whois.records import LabeledLine, LabeledRecord, WhoisRecord, is_labelable
 from repro.whois.text import (
     detect_symbol_start,
+    has_email,
     indentation,
     split_title_value,
     tokenize,
@@ -127,6 +130,29 @@ def test_five_digit_not_in_longer_numbers():
 
 def test_email_class():
     assert "CLS:email" in word_classes("contact jsmith@example.com for details")
+
+
+#: the former single-regex email check, kept as the oracle of has_email
+_EMAIL_ORACLE = re.compile(r"[\w.+-]+@[\w-]+(\.[\w-]+)+", re.UNICODE)
+
+_EMAIL_ALPHABET = st.one_of(
+    st.sampled_from(list("ab_09@.+- ")),
+    st.characters(whitelist_categories=("Lu", "Ll", "Lo", "Nd")),
+)
+
+
+@given(st.text(alphabet=_EMAIL_ALPHABET, max_size=40))
+@settings(max_examples=400, deadline=None)
+@example("a@b.c")
+@example("@b.c")
+@example("a@.c")
+@example("a@b.")
+@example("a @b.c")
+@example("x@y@z.com")
+@example(".@b-c.d")
+@example("é@ß.中")
+def test_has_email_equals_regex_search(text):
+    assert has_email(text) == bool(_EMAIL_ORACLE.search(text))
 
 
 def test_url_class():
