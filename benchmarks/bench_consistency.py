@@ -16,7 +16,7 @@ sharded-ingest machinery, and must get the answer exactly right:
   the measured per-registrar inconsistency rates match the injected
   rates *exactly*, domain for domain, because the plan is a pure
   function of ``(seed, domain)`` and therefore its own oracle;
-- audit rows are identical across store backends and shard counts;
+- audit rows are identical across in-memory/file stores and shard counts;
 - a registrar-wide injection (rate 1.0) drives the
   :class:`~repro.pipeline.drift.RegistrarDisagreementSignal` to a drift
   alert that enters the §5.3 maintenance loop via ``ingest_alert`` and
@@ -57,7 +57,7 @@ from repro.serve import ModelRegistry
 from repro.survey.ingest import jobs_from_results
 from repro.survey.normalize import canonical_registrar
 from repro.survey.report import format_inconsistency_table
-from repro.survey.store import MemoryStore, SqliteStore
+from repro.survey.store import SqliteStore
 
 CONS_DOMAINS = int(os.environ.get("REPRO_BENCH_CONSISTENCY_DOMAINS", 400))
 INJECT_RATE = float(os.environ.get("REPRO_BENCH_CONSISTENCY_RATE", 0.2))
@@ -199,12 +199,12 @@ def test_audit_rows_identical_across_backends_and_shards(
         db.close()
         return rows
 
-    baseline = run(MemoryStore(), 1)
+    baseline = run(SqliteStore(), 1)
     assert baseline
     for label, store, shards in (
         ("sqlite-1", SqliteStore(tmp_path / "a1.db", fresh=True), 1),
         ("sqlite-4", SqliteStore(tmp_path / "a4.db", fresh=True), 4),
-        ("memory-4", MemoryStore(), 4),
+        ("memory-4", SqliteStore(), 4),
     ):
         assert run(store, shards) == baseline, label
     _RESULTS["equivalence"] = {
@@ -213,8 +213,8 @@ def test_audit_rows_identical_across_backends_and_shards(
     }
     emit(
         "Audit-table equivalence",
-        f"{len(baseline)} audit rows identical across memory/sqlite "
-        f"backends and 1/4-shard ingest",
+        f"{len(baseline)} audit rows identical across in-memory/file "
+        f"stores and 1/4-shard ingest",
     )
 
 

@@ -1,12 +1,13 @@
-"""Survey-at-scale: memory vs sqlite backends, single vs sharded ingest.
+"""Survey-at-scale: in-memory vs file store, single vs sharded ingest.
 
 Section 6 aggregates 102M parsed records -- far beyond what an
 in-memory entry list can hold.  This bench measures the survey layer's
 two scaling levers on the same job stream:
 
-- backend: ``MemoryStore`` (the legacy list semantics) vs
-  ``SqliteStore`` (the durable replica with batched transactional
-  ingest), with the Section 6 tables asserted bit-identical;
+- placement: ``SqliteStore()`` (an in-memory ``":memory:"`` database)
+  vs ``SqliteStore(path)`` (the durable file replica), both with
+  batched transactional ingest, with the Section 6 tables asserted
+  bit-identical;
 - ingest fan-out: inline single-process vs ``sharded_ingest`` across
   4 worker processes, rows asserted identical;
 - capacity: the sqlite replica ingests 10x the memory arm's record
@@ -86,9 +87,12 @@ def _timed_ingest(jobs, parser, *, store=None, shards=1):
 
 def test_memory_vs_sqlite_backends(tmp_path_factory, trained_parser,
                                    survey_jobs):
-    """Same jobs through both backends: identical tables, both timed."""
+    """Same jobs into an in-memory store and a file replica: identical
+    tables, both timed."""
     tmp = tmp_path_factory.mktemp("survey-scale")
-    mem_db, mem_s = _timed_ingest(survey_jobs, trained_parser)
+    mem_db, mem_s = _timed_ingest(
+        survey_jobs, trained_parser, store=SqliteStore()
+    )
     sql_db, sql_s = _timed_ingest(
         survey_jobs, trained_parser,
         store=SqliteStore(tmp / "replica.db", fresh=True),
@@ -100,7 +104,7 @@ def test_memory_vs_sqlite_backends(tmp_path_factory, trained_parser,
     _RESULTS["memory"] = {"seconds": mem_s, "records_per_s": n / mem_s}
     _RESULTS["sqlite"] = {"seconds": sql_s, "records_per_s": n / sql_s}
     emit(
-        f"Survey ingest: backends ({n} records, single process)",
+        f"Survey ingest: store placement ({n} records, single process)",
         f"{'memory':<10} {mem_s:>8.2f} s   {n / mem_s:>10,.0f} records/s\n"
         f"{'sqlite':<10} {sql_s:>8.2f} s   {n / sql_s:>10,.0f} records/s",
     )

@@ -178,11 +178,8 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 def _cmd_survey(args: argparse.Namespace) -> int:
     """Build the Section 6 survey tables from a crawl JSONL."""
     from repro.survey.ingest import IngestJob, sharded_ingest
-    from repro.survey.store import open_store
+    from repro.survey.store import SqliteStore
 
-    if args.store == "sqlite" and not args.db:
-        print("error: --store sqlite requires --db PATH", file=sys.stderr)
-        return 2
     parser = WhoisParser.load(args.model, mmap=args.mmap)
     if args.encoder_cache:
         parser.load_encoder_cache(args.encoder_cache)
@@ -202,7 +199,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     # through the sharded admit -> parse -> normalize -> write pipeline
     # (--shards worker processes; --shards 1 parses inline).
     shards = args.shards if args.shards is not None else args.jobs
-    store = open_store(args.store, args.db, fresh=True)
+    store = SqliteStore(args.db or ":memory:", fresh=True)
     db = sharded_ingest(jobs, parser, store=store, shards=shards, gate=gate)
     if args.encoder_cache:
         parser.save_encoder_cache(args.encoder_cache)
@@ -234,11 +231,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.consistency import LiveAuditFetcher, run_audit
     from repro.survey.ingest import IngestJob, jobs_from_results
     from repro.survey.report import format_inconsistency_table
-    from repro.survey.store import open_store
+    from repro.survey.store import SqliteStore
 
-    if args.store == "sqlite" and not args.db:
-        print("error: --store sqlite requires --db PATH", file=sys.stderr)
-        return 2
     if args.live and not args.live_domains:
         print("error: --live needs explicit domain arguments",
               file=sys.stderr)
@@ -292,7 +286,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         plan = DisagreementPlan(knobs, seed=args.plan_seed)
         face = RdapFace(registrations, plan=plan, clock=clock)
         lookup = face.lookup
-    store = open_store(args.store, args.db, fresh=True)
+    store = SqliteStore(args.db or ":memory:", fresh=True)
     db, summary = run_audit(
         jobs, parser, rdap_lookup=lookup, store=store, shards=args.shards
     )
@@ -330,8 +324,7 @@ def build_query_filter(
     each pins the ``private`` or ``blacklisted`` dimension, so
     ``--status private --status clean`` composes conjunctively while
     ``--status private --status public`` is a contradiction and raises
-    ``ValueError``.  Backend-agnostic: the returned filter drives
-    ``MemoryStore`` and ``SqliteStore`` identically.
+    ``ValueError``.
     """
     from repro.survey.store import EntryFilter
 
@@ -418,11 +411,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
     store = SqliteStore(args.db, read_only=True)
     try:
         if args.domain is not None:
-            entry = store.get(args.domain.lower())
-            if entry is None:
+            domain = args.domain.lower()
+            entry = store.get(domain, flt)
+            if entry is None and store.get(domain) is None:
                 print(f"{args.domain}: not in survey", file=sys.stderr)
                 return 1
-            if not flt.matches(entry):
+            if entry is None:
                 print(f"{args.domain}: in survey but excluded by the "
                       f"filter", file=sys.stderr)
                 return 1
@@ -776,12 +770,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     survey.add_argument("crawl", help="crawl JSONL from the crawl command")
     survey.add_argument("--jobs", type=int, default=1,
                        help="parser worker processes (alias for --shards)")
-    survey.add_argument("--store", choices=("memory", "sqlite"),
-                        default="memory",
-                        help="survey backend: in-memory rows, or a durable "
-                             "sqlite replica (requires --db)")
     survey.add_argument("--db", metavar="PATH", default=None,
-                        help="sqlite replica path for --store sqlite")
+                        help="write the survey to a durable sqlite replica "
+                             "at PATH (default: in memory)")
     survey.add_argument("--shards", type=int, default=None,
                         help="ingest worker processes; each shard gates, "
                              "parses, and writes its own replica before the "
@@ -808,7 +799,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="domain to look up (omit to list every entry "
                             "matching the filter flags)")
     query.add_argument("--db", required=True, metavar="PATH",
-                       help="sqlite replica written by survey --store sqlite")
+                       help="sqlite replica written by survey/audit --db")
     query.add_argument("--registrar", default=None, metavar="NAME",
                        help="only entries under this canonical registrar")
     query.add_argument("--status", action="append", default=None,
@@ -852,13 +843,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             "(default: all registrars)")
     audit.add_argument("--plan-seed", type=int, default=0,
                        help="seed for the injection plan's domain choice")
-    audit.add_argument("--store", choices=("memory", "sqlite"),
-                       default="memory",
-                       help="audit backend: in-memory rows, or a durable "
-                            "sqlite replica (requires --db)")
     audit.add_argument("--db", metavar="PATH", default=None,
-                       help="sqlite replica path for --store sqlite "
-                            "(query it with `repro query --consistency`)")
+                       help="write the audit to a durable sqlite replica at "
+                            "PATH (query it with `repro query --consistency`; "
+                            "default: in memory)")
     audit.add_argument("--shards", type=int, default=1,
                        help="ingest worker processes for the audit run")
     audit.add_argument("--top", type=int, default=None,

@@ -11,7 +11,7 @@ audit, survey-scale:
   under a policy lenient to WHOIS's omissions and truncations;
 - :mod:`repro.consistency.audit` runs the diff over a whole crawl on
   the survey's sharded-ingest machinery, persisting per-domain verdicts
-  in the :class:`~repro.survey.store.SurveyStore` audit tables;
+  in the :class:`~repro.survey.store.SqliteStore` audit table;
 - :mod:`repro.consistency.live` is the gated-off adapter that points
   the same auditor at present-day port-43/RDAP servers.
 

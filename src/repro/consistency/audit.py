@@ -7,9 +7,9 @@ with its RDAP payload, and :func:`run_audit` pushes the whole batch
 through :func:`~repro.survey.ingest.sharded_ingest`, whose workers
 parse (``parse_many``), normalize, diff, and write per-shard replicas
 -- entries *and* audit verdicts -- that merge row-identically into the
-destination :class:`~repro.survey.store.SurveyStore`.
+destination :class:`~repro.survey.store.SqliteStore`.
 
-The per-registrar aggregate (:meth:`SurveyStore.audit_registrar_counts`)
+The per-registrar aggregate (:meth:`SqliteStore.audit_registrar_counts`)
 is both the "WHOIS Right?"-style inconsistency table and the input to
 the maintenance loop's second drift signal
 (:class:`~repro.pipeline.drift.RegistrarDisagreementSignal`).
@@ -33,7 +33,7 @@ if TYPE_CHECKING:
     from repro.parser.fields import ParsedRecord
     from repro.survey.database import SurveyDatabase
     from repro.survey.ingest import IngestJob
-    from repro.survey.store import SurveyStore
+    from repro.survey.store import SqliteStore
 
 __all__ = [
     "AuditRecord",
@@ -136,7 +136,7 @@ class AuditSummary:
         return self.disagree / definite if definite else 0.0
 
 
-def summarize_audits(store: "SurveyStore") -> AuditSummary:
+def summarize_audits(store: "SqliteStore") -> AuditSummary:
     """One streaming pass over a store's audit table."""
     summary = AuditSummary()
     for audit in store.iter_audits():
@@ -158,7 +158,7 @@ def run_audit(
     parser,
     *,
     rdap_lookup: "Callable[[str], dict | None]",
-    store: "SurveyStore | None" = None,
+    store: "SqliteStore | None" = None,
     shards: int = 1,
     gate=None,
     stats=None,
@@ -168,9 +168,9 @@ def run_audit(
 
     Returns the survey database over ``store`` (entries populated as a
     plain survey would) and the :class:`AuditSummary` of its audit
-    table.  Row-identical across backends and shard counts, because the
-    audit rows ride the same contiguous-chunk/ordered-merge machinery
-    as the entries.
+    table.  Row-identical across in-memory and file stores and shard
+    counts, because the audit rows ride the same contiguous-chunk/
+    ordered-merge machinery as the entries.
     """
     from repro.survey.ingest import sharded_ingest
 

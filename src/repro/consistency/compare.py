@@ -51,7 +51,13 @@ def _clean(text: str | None) -> str | None:
     return folded or None
 
 
-_EMAIL = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+")
+#: _find_email checks outward from each "@"; one search for the whole
+#: address (``[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+``) retries every start
+#: of a long local-part run and is quadratic in it
+_EMAIL_LOCAL_CHARS = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._%+-"
+)
+_EMAIL_HOST = re.compile(r"[A-Za-z0-9.-]+")
 _PAREN_TAIL = re.compile(r"\s*\([^()]*\)\s*$")
 
 
@@ -71,13 +77,34 @@ def _clean_person(text: str | None) -> str | None:
     return cleaned
 
 
+def _find_email(text: str) -> str | None:
+    """The leftmost address in ``text``, or None.
+
+    Equals ``re.search(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+", text)``'s
+    match in linear time: local-part runs end at the first ``@``, so the
+    first ``@`` with a local character before it and a host character
+    after it closes the leftmost match.
+    """
+    at = text.find("@", 1)
+    while at != -1:
+        if text[at - 1] in _EMAIL_LOCAL_CHARS:
+            host = _EMAIL_HOST.match(text, at + 1)
+            if host is not None:
+                start = at - 1
+                while start > 0 and text[start - 1] in _EMAIL_LOCAL_CHARS:
+                    start -= 1
+                return text[start:host.end()]
+        at = text.find("@", at + 1)
+    return None
+
+
 def _clean_email(text: str | None) -> str | None:
     """The address itself, shorn of label words like ``contact``."""
     if not text:
         return None
-    match = _EMAIL.search(text)
-    if match is not None:
-        return match.group(0).casefold()
+    address = _find_email(text)
+    if address is not None:
+        return address.casefold()
     return _clean(text)
 
 

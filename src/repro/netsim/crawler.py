@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
 
 from repro import obs
 from repro.datagen.thin import extract_referral
@@ -45,15 +44,6 @@ from repro.resilience.policies import (
     Hedge,
     RetryPolicy,
 )
-
-if TYPE_CHECKING:
-    from repro.parser.api import Parser
-    from repro.parser.fields import ParsedRecord
-    from repro.resilience.quarantine import (
-        Quarantine,
-        QuarantinedRecord,
-        RecordGate,
-    )
 
 #: Transport-level outcomes retried under the RetryPolicy (no rate-limit
 #: inference: the server did not refuse us, the network failed us).
@@ -438,93 +428,3 @@ class WhoisCrawler:
                 obs.inc("crawler.errors", code=result.error.code)
         obs.set_gauge("crawler.crawl_sim_seconds", self.clock.now() - start)
         return results
-
-    @staticmethod
-    def parse_results(
-        results: "list[CrawlResult]",
-        parser: "Parser",
-        *,
-        jobs: int = 1,
-        gate: "RecordGate | None" = None,
-        quarantine: "Quarantine | None" = None,
-        stats: "CrawlStats | None" = None,
-    ) -> "ParsedCrawl":
-        """Parse every crawled thick record on the parser's bulk path.
-
-        ``parser`` is anything satisfying the
-        :class:`~repro.parser.api.Parser` protocol; ``jobs`` shards the
-        parse across processes when the parser supports it.  The
-        returned :class:`ParsedCrawl` keeps the thick-carrying results
-        and their parses aligned, in crawl order.
-
-        With a :class:`~repro.resilience.RecordGate` installed, records
-        the gate rejects (garbled, truncated, low-confidence) are routed
-        to ``quarantine`` (one is created if needed) and surface on the
-        result's ``quarantined`` tuple instead of the parse stream;
-        ``stats``, when given, re-accounts those domains from ``ok`` to
-        ``quarantined``.
-        """
-        from repro.resilience.quarantine import Quarantine
-
-        thick = [result for result in results if result.has_thick]
-        quarantined: list[QuarantinedRecord] = []
-        if gate is not None:
-            if quarantine is None:
-                quarantine = Quarantine()
-            admitted = []
-            for result in thick:
-                error = gate.inspect_text(result.domain, result.thick_text)
-                if error is None:
-                    error = gate.inspect_confidence(
-                        result.domain, result.thick_text, parser
-                    )
-                if error is None:
-                    admitted.append(result)
-                    continue
-                quarantined.append(
-                    quarantine.add(result.domain, result.thick_text, error)
-                )
-                if stats is not None:
-                    stats.record_quarantine(result.domain, error)
-            thick = admitted
-        with obs.trace("crawler.parse_results_seconds"):
-            parsed = parser.parse_many(
-                [result.thick_text for result in thick], jobs=jobs
-            )
-        return ParsedCrawl(
-            results=tuple(thick),
-            parsed=tuple(parsed),
-            quarantined=tuple(quarantined),
-        )
-
-
-@dataclass(frozen=True)
-class ParsedCrawl:
-    """The thick results of a crawl, aligned with their parses.
-
-    Iterating yields ``(CrawlResult, ParsedRecord)`` pairs in crawl
-    order -- the shape :meth:`SurveyDatabase.from_parsed_crawl` ingests.
-    ``quarantined`` carries the records the gate rejected, when
-    :meth:`WhoisCrawler.parse_results` ran with one.
-    """
-
-    results: tuple[CrawlResult, ...]
-    parsed: "tuple[ParsedRecord, ...]"
-    quarantined: "tuple[QuarantinedRecord, ...]" = ()
-
-    def __post_init__(self) -> None:
-        if len(self.results) != len(self.parsed):
-            raise ValueError(
-                f"{len(self.results)} results but {len(self.parsed)} parses"
-            )
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self) -> "Iterator[tuple[CrawlResult, ParsedRecord]]":
-        return iter(zip(self.results, self.parsed))
-
-    @property
-    def pairs(self) -> "list[tuple[CrawlResult, ParsedRecord]]":
-        """The (result, parsed) pairs as a materialized list."""
-        return list(zip(self.results, self.parsed))

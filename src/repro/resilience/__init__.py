@@ -3,8 +3,8 @@
 The policy engine the crawler runs against a hostile internet
 (:mod:`repro.netsim.faults`): :class:`RetryPolicy` backoff,
 :class:`Hedge` vantage escalation, per-server :class:`CircuitBreaker`
-load shedding, and the :class:`Quarantine` + :class:`RecordGate` pair
-that keeps unparseable records queryable instead of silently dropped.
+load shedding, and the :class:`RecordGate` whose rejections become
+:class:`QuarantinedRecord` rows, queryable instead of silently dropped.
 Failures are typed via :mod:`repro.errors` throughout.
 """
 
@@ -15,7 +15,6 @@ from repro.resilience.policies import (
     RetryPolicy,
 )
 from repro.resilience.quarantine import (
-    Quarantine,
     QuarantinedRecord,
     RecordGate,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "BreakerPolicy",
     "CircuitBreaker",
     "Hedge",
-    "Quarantine",
     "QuarantinedRecord",
     "RecordGate",
     "RetryPolicy",

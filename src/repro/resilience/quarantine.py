@@ -7,16 +7,15 @@ and must stay queryable.  :class:`RecordGate` decides which fetched
 thick records to reject -- structurally garbled ones (empty bodies,
 NULs, mojibake) and, when the parser exposes posterior marginals,
 records whose label confidence collapses (the signature of truncation
-and format damage).  Rejected records land in a :class:`Quarantine`
-store and flow into the survey database as first-class ``quarantined``
-rows instead of silently counting as ``ok``.
+and format damage).  Rejected records become :class:`QuarantinedRecord`
+rows in the survey store's quarantine table instead of silently
+counting as ``ok``.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro import obs
 from repro.errors import CrawlError, GarbledRecord, Truncated
@@ -35,37 +34,6 @@ class QuarantinedRecord:
     def reason(self) -> str:
         """The stable taxonomy code of the rejection error."""
         return self.error.code
-
-
-class Quarantine:
-    """An append-only store of rejected records, queryable by reason."""
-
-    def __init__(self) -> None:
-        self.records: list[QuarantinedRecord] = []
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[QuarantinedRecord]:
-        return iter(self.records)
-
-    def add(self, domain: str, text: str, error: CrawlError) -> QuarantinedRecord:
-        """Store one rejection and return the quarantined record."""
-        record = QuarantinedRecord(domain=domain, text=text, error=error)
-        self.records.append(record)
-        obs.inc("resilience.quarantine.records", reason=error.code)
-        return record
-
-    def by_reason(self, code: str) -> list[QuarantinedRecord]:
-        """All quarantined records rejected with taxonomy code ``code``."""
-        return [r for r in self.records if r.reason == code]
-
-    def counts(self) -> dict[str, int]:
-        """Rejection tally by taxonomy code."""
-        tally: dict[str, int] = {}
-        for record in self.records:
-            tally[record.reason] = tally.get(record.reason, 0) + 1
-        return tally
 
 
 def _suspicious_fraction(text: str) -> float:

@@ -1,9 +1,9 @@
 """The Section 6 survey: registrants, registrars, privacy, blacklists.
 
-The package is layered: :mod:`~repro.survey.store` holds the storage
-backends (in-memory, sqlite replica), :mod:`~repro.survey.database` the
+The package is layered: :mod:`~repro.survey.store` holds the sqlite
+store (in memory or a file replica), :mod:`~repro.survey.database` the
 :class:`SurveyDatabase` facade and normalization,
-:mod:`~repro.survey.ingest` the sharded ingest work queue, and
+:mod:`~repro.survey.ingest` the one ingest path, and
 :mod:`~repro.survey.analysis` / :mod:`~repro.survey.report` the paper's
 tables over the store's query API.
 """
@@ -34,22 +34,14 @@ from repro.survey.report import (
     format_proportions,
     format_table,
 )
-from repro.survey.store import (
-    EntryFilter,
-    MemoryStore,
-    SqliteStore,
-    SurveyStore,
-    open_store,
-)
+from repro.survey.store import EntryFilter, SqliteStore
 
 __all__ = [
     "DomainEntry",
     "EntryFilter",
     "IngestJob",
-    "MemoryStore",
     "SqliteStore",
     "SurveyDatabase",
-    "SurveyStore",
     "brand_companies",
     "canonical_country",
     "canonical_registrar",
@@ -65,7 +57,6 @@ __all__ = [
     "format_proportions",
     "format_table",
     "jobs_from_results",
-    "open_store",
     "privacy_by_registrar",
     "registrar_country_mix",
     "sharded_ingest",

@@ -1,11 +1,10 @@
 """Aggregations reproducing Tables 3-9 and Figures 4-5 of Section 6.
 
-Every table runs on the :class:`~repro.survey.store.SurveyStore` query
+Every table runs on the :class:`~repro.survey.store.SqliteStore` query
 API -- grouped counts and streaming iterators -- so the same function
-answers from an in-memory survey or a 100x-larger sqlite replica
-without materializing entry lists.  Rankings break count ties
-deterministically (by key) so the two backends produce bit-identical
-tables regardless of row order.
+answers from an in-memory survey or a 100x-larger file replica without
+materializing entry lists.  Rankings break count ties deterministically
+(by key), so tables do not depend on row order.
 """
 
 from __future__ import annotations
@@ -27,9 +26,8 @@ class TableRow:
 
 
 def _top(counts: Counter, k: int | None) -> list[tuple[str, int]]:
-    """Highest-count items, ties broken by key: deterministic across
-    backends (a Counter built from a SQL GROUP BY arrives in key order,
-    one built from an entry scan in first-seen order)."""
+    """Highest-count items, ties broken by key, so the ranking does not
+    depend on the order a Counter was filled in."""
     ranked = sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))
     return ranked if k is None else ranked[:k]
 

@@ -2,21 +2,21 @@
 
 "With our parser in hand, we applied it to our crawl of the WHOIS records
 of com domains and constructed a database of the fields extracted by the
-parser."  :class:`SurveyDatabase` is that database -- now a thin facade
-over a pluggable :class:`~repro.survey.store.SurveyStore` backend: the
-in-memory :class:`~repro.survey.store.MemoryStore` by default, or the
-durable :class:`~repro.survey.store.SqliteStore` replica for paper-scale
-surveys.  Filter methods (:meth:`created_in`, :meth:`public`, ...) return
-lightweight *views* sharing the same store with a composed
+parser."  :class:`SurveyDatabase` is that database -- a thin facade over
+a :class:`~repro.survey.store.SqliteStore`, in memory by default or a
+durable file replica for paper-scale surveys.  Filter methods
+(:meth:`created_in`, :meth:`public`, ...) return lightweight *views*
+sharing the same store with a composed
 :class:`~repro.survey.store.EntryFilter`, so Section 6 tables aggregate
-in the backend instead of copying entry lists.
+in SQL instead of copying entry lists.  Rows arrive through
+:func:`~repro.survey.ingest.sharded_ingest`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from repro import obs
 from repro.errors import CrawlError
@@ -28,12 +28,7 @@ from repro.survey.normalize import (
     detect_brand,
     detect_privacy_service,
 )
-from repro.survey.store import (
-    MATCH_ALL,
-    EntryFilter,
-    MemoryStore,
-    SurveyStore,
-)
+from repro.survey.store import MATCH_ALL, EntryFilter, SqliteStore
 
 
 @dataclass(frozen=True)
@@ -69,10 +64,8 @@ def entry_from_parsed(
 ) -> DomainEntry:
     """Normalize one parsed record into a :class:`DomainEntry`.
 
-    This is the ingestion transform shared by every path into the
-    survey -- the facade's :meth:`SurveyDatabase.add_parsed` and the
-    sharded ingest workers both run records through here, which is what
-    keeps single-process and sharded surveys row-identical.
+    This is the ingestion transform of :meth:`SurveyDatabase.add_parsed`,
+    which inline and sharded ingest both run records through.
     """
     name = parsed.registrant.get("name")
     org = parsed.registrant.get("org")
@@ -90,25 +83,25 @@ def entry_from_parsed(
 
 
 class SurveyDatabase:
-    """An append-only survey of :class:`DomainEntry` rows over a backend.
+    """An append-only survey of :class:`DomainEntry` rows over a store.
 
     Records the parser rejected live in a parallel quarantine table
     (:class:`~repro.resilience.QuarantinedRecord` rows) -- first-class
     and queryable, never silently dropped into the ``ok`` counts.
 
-    Construction takes an optional backend (``SurveyDatabase()`` keeps
-    the historical in-memory behavior); filters return views onto the
-    same backend.  Callers iterate (``for entry in db``), count
+    Construction takes an optional :class:`SqliteStore`
+    (``SurveyDatabase()`` is an in-memory one); filters return views onto
+    the same store.  Callers iterate (``for entry in db``), count
     (``len(db)``), or query (:meth:`get`, :meth:`group_counts`).
     """
 
     def __init__(
         self,
-        store: SurveyStore | None = None,
+        store: SqliteStore | None = None,
         *,
         _filter: EntryFilter = MATCH_ALL,
     ) -> None:
-        self.store: SurveyStore = store if store is not None else MemoryStore()
+        self.store = store if store is not None else SqliteStore()
         self._filter = _filter
 
     def __len__(self) -> int:
@@ -124,23 +117,20 @@ class SurveyDatabase:
 
     def group_counts(self, key: str):
         """Counter of entries per distinct ``key`` value, aggregated in
-        the backend (see :data:`repro.survey.store.GROUP_KEYS`)."""
+        SQL (see :data:`repro.survey.store.GROUP_KEYS`)."""
         return self.store.group_counts(key, self._filter)
 
     def get(self, domain: str) -> DomainEntry | None:
-        """Point query: the latest entry for ``domain`` in this view's
-        scope (or None)."""
-        entry = self.store.get(domain)
-        if entry is None or not self._filter.matches(entry):
-            return None
-        return entry
+        """Point query: the latest entry for ``domain``, or None when it
+        falls outside this view's scope."""
+        return self.store.get(domain, self._filter)
 
     def flush(self) -> None:
-        """Flush buffered ingest batches to the backend."""
+        """Flush buffered ingest batches to the store."""
         self.store.flush()
 
     def close(self) -> None:
-        """Flush and release the backend (a no-op for memory stores)."""
+        """Flush and release the store."""
         self.store.close()
 
     # ------------------------------------------------------------------
@@ -159,19 +149,15 @@ class SurveyDatabase:
 
         ``registrar_hint`` supplies the registrar from the thin record when
         the thick record's own registrar line is missing or garbled.
-        Durable backends additionally persist the parsed record itself
-        (its :meth:`~repro.parser.fields.ParsedRecord.to_jsonable` form),
+        The store also keeps the parsed record itself (its
+        :meth:`~repro.parser.fields.ParsedRecord.to_jsonable` form),
         which is what ``repro query`` answers from.
         """
         entry = entry_from_parsed(
             domain, parsed,
             registrar_hint=registrar_hint, blacklisted=blacklisted,
         )
-        record = (
-            parsed.to_jsonable()
-            if getattr(self.store, "persistent", False) else None
-        )
-        self.store.append(entry, record=record)
+        self.store.append(entry, record=parsed.to_jsonable())
         obs.inc("survey.rows", blacklisted="true" if blacklisted else "false")
         if entry.privacy_service is not None:
             obs.inc("survey.private_rows")
@@ -187,6 +173,11 @@ class SurveyDatabase:
         self.store.append_quarantined(record)
         obs.inc("survey.quarantined_rows", reason=error.code)
         return record
+
+    def append_audit(self, audit) -> None:
+        """File one cross-protocol consistency verdict
+        (:class:`~repro.consistency.audit.AuditRecord`)."""
+        self.store.append_audit(audit)
 
     # -- quarantine queries --------------------------------------------
 
@@ -207,124 +198,6 @@ class SurveyDatabase:
         """Quarantined rows per taxonomy code (the coverage accounting
         complement: fetched but untrusted)."""
         return self.store.quarantine_counts()
-
-    @classmethod
-    def from_parsed_records(
-        cls,
-        records: Iterable[tuple[str, ParsedRecord]],
-        *,
-        blacklisted_domains: set[str] | None = None,
-        store: SurveyStore | None = None,
-    ) -> "SurveyDatabase":
-        """Build a database straight from ``(domain, parsed)`` pairs."""
-        db = cls(store)
-        blacklisted = blacklisted_domains or set()
-        for domain, parsed in records:
-            db.add_parsed(domain, parsed, blacklisted=domain in blacklisted)
-        db.flush()
-        return db
-
-    @classmethod
-    def from_crawl(
-        cls,
-        results: Iterable,
-        parse: Callable[[str], ParsedRecord],
-        *,
-        blacklisted_domains: set[str] | None = None,
-        store: SurveyStore | None = None,
-    ) -> "SurveyDatabase":
-        """Parse every successful crawl result into a database.
-
-        The registrar named by the thin record serves as a hint when the
-        thick record's own registrar line is missing -- the two-step thin ->
-        thick data flow of Section 4.1.
-        """
-        from repro.datagen.thin import extract_registrar
-
-        db = cls(store)
-        blacklisted = blacklisted_domains or set()
-        for result in results:
-            if getattr(result, "thick_text", None) is None:
-                continue
-            parsed = parse(result.thick_text)
-            thin_text = getattr(result, "thin_text", None)
-            hint = extract_registrar(thin_text) if thin_text else None
-            db.add_parsed(
-                result.domain,
-                parsed,
-                registrar_hint=hint,
-                blacklisted=result.domain in blacklisted,
-            )
-        db.flush()
-        return db
-
-    @classmethod
-    def from_parsed_crawl(
-        cls,
-        parsed_crawl: Iterable,
-        *,
-        blacklisted_domains: set[str] | None = None,
-        store: SurveyStore | None = None,
-    ) -> "SurveyDatabase":
-        """Ingest a :class:`~repro.netsim.crawler.ParsedCrawl`.
-
-        Accepts anything yielding ``(crawl result, ParsedRecord)`` pairs;
-        the registrar named by each thin record serves as a hint when the
-        thick record's own registrar line is missing -- the two-step
-        thin -> thick data flow of Section 4.1.  Records the parse-time
-        record gate quarantined (a ``quarantined`` attribute on the
-        input, when present) land in the database's quarantine table.
-        """
-        from repro.datagen.thin import extract_registrar
-
-        db = cls(store)
-        blacklisted = blacklisted_domains or set()
-        with obs.trace("survey.build_seconds"):
-            for result, parsed in parsed_crawl:
-                thin_text = getattr(result, "thin_text", None)
-                hint = extract_registrar(thin_text) if thin_text else None
-                db.add_parsed(
-                    result.domain,
-                    parsed,
-                    registrar_hint=hint,
-                    blacklisted=result.domain in blacklisted,
-                )
-            for record in getattr(parsed_crawl, "quarantined", ()):
-                db.add_quarantined(record.domain, record.text, record.error)
-        db.flush()
-        return db
-
-    @classmethod
-    def from_crawl_bulk(
-        cls,
-        results: Iterable,
-        parse_many: Callable[[list[str]], list[ParsedRecord]],
-        *,
-        blacklisted_domains: set[str] | None = None,
-        store: SurveyStore | None = None,
-    ) -> "SurveyDatabase":
-        """:meth:`from_crawl` on the batched parser path.
-
-        ``parse_many`` maps a list of record texts to their
-        :class:`ParsedRecord` objects in one call -- normally
-        ``parser.parse_many`` (bind ``jobs`` with a lambda or
-        ``functools.partial`` to shard across processes).  Row for row,
-        the result is identical to :meth:`from_crawl` with the same
-        parser; this path is how the Section 6 survey scales to a full
-        zone crawl.
-        """
-        from repro.netsim.crawler import ParsedCrawl
-
-        kept = [
-            result for result in results
-            if getattr(result, "thick_text", None) is not None
-        ]
-        parsed_records = parse_many([r.thick_text for r in kept])
-        return cls.from_parsed_crawl(
-            ParsedCrawl(results=tuple(kept), parsed=tuple(parsed_records)),
-            blacklisted_domains=blacklisted_domains,
-            store=store,
-        )
 
     # ------------------------------------------------------------------
     # Filter views (share the store; no copying)

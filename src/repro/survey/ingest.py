@@ -1,9 +1,8 @@
-"""Sharded survey ingest: fan crawl batches out to parser workers, merge
-per-shard replicas into one store.
+"""Survey ingest: the one path from crawled records into the survey store.
 
 The paper's survey parses 102M records; one process's ``parse_many``
 saturates one machine's cores but still funnels every normalized row
-through a single writer.  This module completes the
+through a single writer.  :func:`sharded_ingest` completes the
 ``audioscavenger/whoisd`` shape -- bulk ingest into a real database --
 by running the whole admit -> parse -> normalize -> write pipeline per
 shard:
@@ -13,31 +12,31 @@ shard:
    sharded output is row-identical to single-process output);
 2. each worker process (reusing the fork/mmap-friendly pool-initializer
    pattern of :meth:`WhoisParser.parse_many`) gates, parses, and
-   normalizes its chunk and writes a private per-shard replica --
-   sqlite file or in-memory rows, matching the destination backend;
-3. the coordinator merges shard replicas into the destination store in
-   shard order (``ATTACH`` + ``INSERT .. SELECT`` for sqlite) and
-   re-accounts quarantined domains into the crawl stats.
+   normalizes its chunk into a private sqlite shard file, through the
+   same body the single-process path runs;
+3. the coordinator merges the shard files into the destination store in
+   shard order (``ATTACH`` + ``INSERT .. SELECT``) and re-accounts
+   quarantined domains into the crawl stats.
 
-Workers never ship parsed records back through the pipe -- only shard
-paths and small quarantine summaries -- so the coordinator's memory
-stays flat no matter the record count.
+Workers never ship parsed records back through the pipe -- only small
+quarantine summaries -- so the coordinator's memory stays flat no
+matter the record count.
 """
 
 from __future__ import annotations
 
-import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import obs
 from repro.errors import error_from_payload
-from repro.resilience.quarantine import QuarantinedRecord
-from repro.survey.database import SurveyDatabase, entry_from_parsed
-from repro.survey.store import MemoryStore, SqliteStore, SurveyStore
+from repro.survey.database import SurveyDatabase
+from repro.survey.store import SqliteStore
 
 if TYPE_CHECKING:
+    from repro.errors import CrawlError
     from repro.netsim.crawler import CrawlStats
     from repro.resilience.quarantine import RecordGate
 
@@ -98,59 +97,55 @@ def _init_ingest_worker(parser) -> None:
     _INGEST_PARSER = parser
 
 
-def _ingest_shard(payload):
-    """Worker body: gate, parse, normalize, and store one shard.
+def _ingest_into(
+    db: SurveyDatabase,
+    jobs: Sequence[IngestJob],
+    parser,
+    gate: "RecordGate | None",
+) -> "list[tuple[str, CrawlError]]":
+    """Gate, parse, and file ``jobs`` into ``db``: the body both the
+    inline path and every shard worker run.
 
-    Returns ``(shard_db_path_or_entry_rows, n_entries, quarantine
-    summaries)``; entries travel back through the pipe only for the
-    in-memory backend.
+    Returns ``(domain, error)`` for each job the gate quarantined.
+    """
+    admitted = []
+    quarantined = []
+    for job in jobs:
+        error = gate.inspect(job.domain, job.text, parser) if gate else None
+        if error is None:
+            admitted.append(job)
+            continue
+        db.add_quarantined(job.domain, job.text, error)
+        quarantined.append((job.domain, error))
+    parsed_records = parser.parse_many([job.text for job in admitted])
+    for job, parsed in zip(admitted, parsed_records):
+        db.add_parsed(
+            job.domain, parsed,
+            registrar_hint=job.registrar_hint,
+            blacklisted=job.blacklisted,
+        )
+        audit = _audit_for(job, parsed)
+        if audit is not None:
+            db.append_audit(audit)
+    db.flush()
+    return quarantined
+
+
+def _ingest_shard(payload):
+    """Worker body: ingest one shard into its own sqlite file.
+
+    Returns the quarantine summaries; the rows themselves stay in the
+    shard file for the coordinator's merge.
     """
     jobs, shard_path, batch_size, gate = payload
-    parser = _INGEST_PARSER
-    quarantined: list[tuple[str, str, dict]] = []
-    admitted: list[IngestJob] = []
-    if gate is not None:
-        for job in jobs:
-            error = gate.inspect(job.domain, job.text, parser)
-            if error is None:
-                admitted.append(job)
-            else:
-                quarantined.append((job.domain, job.text, error.to_payload()))
-    else:
-        admitted = list(jobs)
-    parsed_records = parser.parse_many([job.text for job in admitted], jobs=1)
-    rows = [
-        (
-            entry_from_parsed(
-                job.domain, parsed,
-                registrar_hint=job.registrar_hint,
-                blacklisted=job.blacklisted,
-            ),
-            parsed,
-            _audit_for(job, parsed),
-        )
-        for job, parsed in zip(admitted, parsed_records)
-    ]
-    if shard_path is None:
-        return (
-            [(entry, audit) for entry, _, audit in rows],
-            len(rows),
-            quarantined,
-        )
-    store = SqliteStore(shard_path, batch_size=batch_size, fresh=True)
+    db = SurveyDatabase(
+        SqliteStore(shard_path, batch_size=batch_size, fresh=True)
+    )
     try:
-        for entry, parsed, audit in rows:
-            store.append(entry, record=parsed.to_jsonable())
-            if audit is not None:
-                store.append_audit(audit)
-        for domain, text, payload_dict in quarantined:
-            store.append_quarantined(QuarantinedRecord(
-                domain=domain, text=text,
-                error=error_from_payload(payload_dict),
-            ))
+        quarantined = _ingest_into(db, jobs, _INGEST_PARSER, gate)
     finally:
-        store.close()
-    return shard_path, len(rows), quarantined
+        db.close()
+    return [(domain, error.to_payload()) for domain, error in quarantined]
 
 
 def _audit_for(job: IngestJob, parsed):
@@ -166,7 +161,7 @@ def sharded_ingest(
     jobs: Sequence[IngestJob],
     parser,
     *,
-    store: SurveyStore | None = None,
+    store: SqliteStore | None = None,
     shards: int = 4,
     gate: "RecordGate | None" = None,
     stats: "CrawlStats | None" = None,
@@ -175,102 +170,76 @@ def sharded_ingest(
 ) -> SurveyDatabase:
     """Ingest ``jobs`` into ``store`` across ``shards`` worker processes.
 
-    Row-for-row identical to single-process ingest of the same jobs
-    (shards are contiguous chunks, merged in shard order).  Records a
+    ``store`` defaults to an in-memory :class:`SqliteStore`.  Row-for-row
+    identical to single-process ingest of the same jobs (shards are
+    contiguous chunks, merged in shard order).  Records a
     :class:`~repro.resilience.RecordGate` rejects land in the store's
     quarantine table; ``stats``, when given, re-accounts those domains
-    from ``ok`` to ``quarantined``.  Falls back to the in-process path
-    for tiny inputs or ``shards <= 1``.
+    from ``ok`` to ``quarantined``.  Runs in process for tiny inputs or
+    ``shards <= 1``.
     """
-    import multiprocessing as mp
-
-    destination = store if store is not None else MemoryStore()
-    db = SurveyDatabase(destination)
+    db = SurveyDatabase(store)
     jobs = list(jobs)
     if shards <= 1 or len(jobs) < 2 * shards:
-        return _ingest_inline(jobs, parser, db, gate=gate, stats=stats)
+        quarantined = _ingest_into(db, jobs, parser, gate)
+    else:
+        quarantined = _ingest_shards(
+            jobs, parser, db.store,
+            shards=shards, gate=gate,
+            start_method=start_method, batch_size=batch_size,
+        )
+    if stats is not None:
+        for domain, error in quarantined:
+            stats.record_quarantine(domain, error)
+    return db
+
+
+def _ingest_shards(
+    jobs: list[IngestJob],
+    parser,
+    destination: SqliteStore,
+    *,
+    shards: int,
+    gate: "RecordGate | None",
+    start_method: str | None,
+    batch_size: int,
+) -> "list[tuple[str, CrawlError]]":
+    """Fan ``jobs`` out to worker processes, each writing a shard file in
+    a temporary directory (beside a file destination, so the merge stays
+    on one filesystem), then merge the shards into ``destination``."""
+    import multiprocessing as mp
 
     method = start_method
     if method is None:
         method = "fork" if "fork" in mp.get_all_start_methods() else None
     ctx = mp.get_context(method)
-    sqlite_dest = (
-        isinstance(destination, SqliteStore)
-        and destination.path != ":memory:"
-    )
-    shard_dir = Path(destination.path).parent if sqlite_dest else None
+    on_disk = destination.path != ":memory:"
     bounds = [len(jobs) * i // shards for i in range(shards + 1)]
-    payloads = []
-    for i in range(shards):
-        shard_path = (
-            str(shard_dir / f".{Path(destination.path).name}.shard{i}")
-            if sqlite_dest else None
-        )
-        payloads.append(
-            (jobs[bounds[i]:bounds[i + 1]], shard_path, batch_size, gate)
-        )
-    with obs.trace("survey.sharded_ingest_seconds", shards=str(shards)):
-        with ctx.Pool(
-            shards, initializer=_init_ingest_worker, initargs=(parser,)
-        ) as pool:
-            parts = pool.map(_ingest_shard, payloads)
-        for result, n_rows, quarantined in parts:
-            if sqlite_dest:
-                destination.merge_file(result)
-                for suffix in ("", "-wal", "-shm"):
-                    try:
-                        os.unlink(result + suffix)
-                    except FileNotFoundError:
-                        pass
-            else:
-                for entry, audit in result:
-                    destination.append(entry)
-                    if audit is not None:
-                        destination.append_audit(audit)
-                for domain, text, payload_dict in quarantined:
-                    db.add_quarantined(
-                        domain, text, error_from_payload(payload_dict)
-                    )
-            obs.inc("survey.sharded_rows", n_rows)
-            if stats is not None:
-                for domain, _text, payload_dict in quarantined:
-                    stats.record_quarantine(
-                        domain, error_from_payload(payload_dict)
-                    )
-    db.flush()
-    return db
-
-
-def _ingest_inline(
-    jobs: Sequence[IngestJob],
-    parser,
-    db: SurveyDatabase,
-    *,
-    gate: "RecordGate | None",
-    stats: "CrawlStats | None",
-) -> SurveyDatabase:
-    """The shards=1 path: same pipeline, no worker processes."""
-    admitted = []
-    for job in jobs:
-        error = gate.inspect(job.domain, job.text, parser) if gate else None
-        if error is None:
-            admitted.append(job)
-            continue
-        db.add_quarantined(job.domain, job.text, error)
-        if stats is not None:
-            stats.record_quarantine(job.domain, error)
-    parsed_records = parser.parse_many([job.text for job in admitted])
-    for job, parsed in zip(admitted, parsed_records):
-        db.add_parsed(
-            job.domain, parsed,
-            registrar_hint=job.registrar_hint,
-            blacklisted=job.blacklisted,
-        )
-        audit = _audit_for(job, parsed)
-        if audit is not None:
-            db.store.append_audit(audit)
-    db.flush()
-    return db
+    quarantined = []
+    with tempfile.TemporaryDirectory(
+        prefix=".shards-",
+        dir=Path(destination.path).parent if on_disk else None,
+    ) as shard_dir:
+        shard_paths = [str(Path(shard_dir) / f"shard{i}.db")
+                       for i in range(shards)]
+        payloads = [
+            (jobs[bounds[i]:bounds[i + 1]], shard_paths[i], batch_size, gate)
+            for i in range(shards)
+        ]
+        with obs.trace("survey.sharded_ingest_seconds", shards=str(shards)):
+            with ctx.Pool(
+                shards, initializer=_init_ingest_worker, initargs=(parser,)
+            ) as pool:
+                parts = pool.map(_ingest_shard, payloads)
+            for shard_path, summaries in zip(shard_paths, parts):
+                obs.inc(
+                    "survey.sharded_rows", destination.merge_file(shard_path)
+                )
+                quarantined.extend(
+                    (domain, error_from_payload(payload))
+                    for domain, payload in summaries
+                )
+    return quarantined
 
 
 __all__ = ["IngestJob", "jobs_from_results", "sharded_ingest"]

@@ -1,28 +1,22 @@
-"""Survey storage backends: the ``SurveyStore`` protocol and its two
-implementations.
+"""The survey store: a sqlite replica of the Section 6 database.
 
 The paper's survey covers 102M registrations (Section 6); a Python list
 of :class:`~repro.survey.database.DomainEntry` caps the survey at one
-process's RAM.  This module makes the storage layer a pluggable backend
-behind one narrow protocol:
-
-- :class:`MemoryStore` keeps today's append-only in-memory semantics
-  bit-for-bit (the default, and the right choice at test scale);
-- :class:`SqliteStore` persists entries and quarantine rows to a sqlite
-  replica (stdlib :mod:`sqlite3`, WAL journal, batched transactional
-  ingest) so Section 6 tables, the two-crawl churn diff, and per-
-  registrar aggregations stream from disk via cursors and SQL
-  ``GROUP BY`` instead of materialized lists -- the
-  ``audioscavenger/whoisd`` shape of "bulk ingest into a real database,
-  answer point queries against the replica".
+process's RAM.  :class:`SqliteStore` keeps entries, quarantine rows and
+consistency audits in a sqlite database (stdlib :mod:`sqlite3`, WAL
+journal, batched transactional ingest), so Section 6 tables, the
+two-crawl churn diff, and per-registrar aggregations stream via cursors
+and SQL ``GROUP BY`` instead of materialized lists -- the
+``audioscavenger/whoisd`` shape of "bulk ingest into a real database,
+answer point queries against the replica".  ``SqliteStore()`` with no
+path is an in-memory database (``":memory:"``); with a path it is a
+durable replica that ``repro query`` reads.
 
 Every read path is expressed against :class:`EntryFilter` (a conjunctive
-filter over the survey's query dimensions) so the two backends answer
-the same queries: ``MemoryStore`` evaluates the filter as a predicate
-over its list, ``SqliteStore`` compiles it to a ``WHERE`` clause.
-Aggregation results are identical between backends by construction --
-ordering-sensitive consumers (:func:`repro.survey.analysis._ranking`)
-sort ties deterministically rather than leaning on insertion order.
+filter over the survey's query dimensions), compiled to a ``WHERE``
+clause.  Ordering-sensitive consumers
+(:func:`repro.survey.analysis._ranking`) sort ties deterministically
+rather than leaning on insertion order.
 """
 
 from __future__ import annotations
@@ -33,15 +27,15 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterator
 
 from repro import obs
 from repro.errors import error_from_payload
 from repro.resilience.quarantine import QuarantinedRecord
 
 #: Columns ``group_counts`` may aggregate over (the survey's Section 6
-#: query dimensions).  Both backends validate against this set so a typo
-#: fails loudly instead of silently returning an empty Counter.
+#: query dimensions).  Validated against this set so a typo fails
+#: loudly instead of silently returning an empty Counter.
 GROUP_KEYS = (
     "registrar",
     "country",
@@ -55,11 +49,8 @@ GROUP_KEYS = (
 class EntryFilter:
     """A conjunctive filter over survey entries.
 
-    ``None`` on any dimension means "no constraint".  The same filter
-    value drives both backends: a Python predicate over
-    :class:`MemoryStore`'s list and a compiled ``WHERE`` clause in
-    :class:`SqliteStore`, so a filtered view answers identically no
-    matter where the rows live.
+    ``None`` on any dimension means "no constraint"; :meth:`where`
+    compiles the filter to SQL.
     """
 
     #: require ``entry.blacklisted`` to equal this
@@ -73,26 +64,10 @@ class EntryFilter:
     #: require the canonical registrar to equal this
     registrar: str | None = None
 
-    def matches(self, entry) -> bool:
-        """Evaluate the filter as a predicate (the MemoryStore path)."""
-        if self.blacklisted is not None and entry.blacklisted != self.blacklisted:
-            return False
-        if self.private is not None and entry.is_private != self.private:
-            return False
-        if self.year is not None and entry.creation_year != self.year:
-            return False
-        if self.through_year is not None and (
-            entry.creation_year is None
-            or entry.creation_year > self.through_year
-        ):
-            return False
-        if self.registrar is not None and entry.registrar != self.registrar:
-            return False
-        return True
-
-    def where(self) -> tuple[str, list]:
-        """Compile to a SQL ``WHERE`` clause (the SqliteStore path)."""
-        clauses: list[str] = []
+    def where(self, *pinned: str) -> tuple[str, list]:
+        """Compile to a SQL ``WHERE`` clause, ANDed after the ``pinned``
+        clauses (whose parameters the caller binds first)."""
+        clauses: list[str] = list(pinned)
         params: list = []
         if self.blacklisted is not None:
             clauses.append("blacklisted = ?")
@@ -118,249 +93,6 @@ class EntryFilter:
 
 #: The unconstrained filter (module-level so views can share it).
 MATCH_ALL = EntryFilter()
-
-
-@runtime_checkable
-class SurveyStore(Protocol):
-    """What a survey storage backend must answer.
-
-    The protocol is deliberately narrow: appends, filtered streaming
-    reads, filtered counts, grouped counts, point queries, and the
-    quarantine table.  Everything Section 6 renders -- and everything
-    the churn diff and the ``repro query`` replica need -- composes from
-    these, so a backend never has to materialize the full entry list.
-    """
-
-    def append(self, entry, *, record: dict | None = None) -> None:
-        """Ingest one entry (plus, optionally, its parsed-record JSON)."""
-        ...
-
-    def append_quarantined(self, record: QuarantinedRecord) -> None:
-        """File one rejected record in the quarantine table."""
-        ...
-
-    def append_audit(self, audit) -> None:
-        """File one cross-protocol consistency verdict
-        (:class:`~repro.consistency.audit.AuditRecord`)."""
-        ...
-
-    def iter_audits(self, *, by_domain: bool = False) -> Iterator:
-        """Stream audit records in insertion order (or sorted by domain,
-        insertion order within a domain, with ``by_domain``)."""
-        ...
-
-    def get_audit(self, domain: str):
-        """Point query: the most recent audit for ``domain`` (or None)."""
-        ...
-
-    def n_audits(self) -> int:
-        """Number of audit rows."""
-        ...
-
-    def audit_registrar_counts(self) -> "dict[str | None, tuple[int, int]]":
-        """Per-registrar ``(audited, disagreeing)`` counts over rows with
-        a definite verdict (incomparable rows are excluded)."""
-        ...
-
-    def count(self, flt: EntryFilter = MATCH_ALL) -> int:
-        """Number of entries matching ``flt``."""
-        ...
-
-    def iter_entries(
-        self, flt: EntryFilter = MATCH_ALL, *, by_domain: bool = False
-    ) -> Iterator:
-        """Stream matching entries in insertion order (or sorted by
-        domain, insertion order within a domain, with ``by_domain``)."""
-        ...
-
-    def group_counts(
-        self, key: str, flt: EntryFilter = MATCH_ALL
-    ) -> Counter:
-        """``Counter`` of entries per distinct value of ``key``
-        (one of :data:`GROUP_KEYS`; ``None`` groups missing values)."""
-        ...
-
-    def get(self, domain: str):
-        """Point query: the most recently ingested entry for ``domain``
-        (or ``None``)."""
-        ...
-
-    def get_record(self, domain: str) -> dict | None:
-        """The parsed-record JSON stored alongside the latest entry for
-        ``domain``, when the backend retains it."""
-        ...
-
-    def iter_quarantine(self) -> Iterator[QuarantinedRecord]:
-        """Stream the quarantine table in insertion order."""
-        ...
-
-    def quarantine_counts(self) -> dict[str, int]:
-        """Quarantined rows per taxonomy code."""
-        ...
-
-    def n_quarantined(self) -> int:
-        """Number of quarantined rows."""
-        ...
-
-    def flush(self) -> None:
-        """Make every buffered append visible to readers."""
-        ...
-
-    def close(self) -> None:
-        """Flush and release the backend's resources."""
-        ...
-
-
-def _group_value(entry, key: str):
-    """The grouping value of one entry for ``key`` (MemoryStore path)."""
-    if key == "creation_year":
-        return entry.creation_year
-    return getattr(entry, key)
-
-
-class MemoryStore:
-    """The in-memory backend: two append-only Python lists.
-
-    Bit-identical to the pre-store ``SurveyDatabase`` semantics --
-    insertion order preserved, duplicates allowed, nothing persisted.
-    Parsed-record JSON passed to :meth:`append` is *not* retained: the
-    memory backend keeps exactly the rows the original survey kept, so
-    its RSS profile stays the baseline the scale benchmark measures
-    sqlite against.  Point queries for full records need the sqlite
-    replica.
-    """
-
-    persistent = False
-
-    def __init__(self) -> None:
-        self._entries: list = []
-        self._quarantine: list[QuarantinedRecord] = []
-        self._audits: list = []
-
-    # -- ingest ---------------------------------------------------------
-
-    def append(self, entry, *, record: dict | None = None) -> None:
-        """Append one entry (``record`` JSON is dropped; see class doc)."""
-        self._entries.append(entry)
-
-    def extend(self, entries: Iterable) -> None:
-        """Bulk-append entries in order."""
-        self._entries.extend(entries)
-
-    def append_quarantined(self, record: QuarantinedRecord) -> None:
-        """Append one quarantined record."""
-        self._quarantine.append(record)
-
-    def append_audit(self, audit) -> None:
-        """Append one consistency audit verdict."""
-        self._audits.append(audit)
-
-    # -- reads ----------------------------------------------------------
-
-    def count(self, flt: EntryFilter = MATCH_ALL) -> int:
-        """Number of entries matching ``flt``."""
-        if flt is MATCH_ALL:
-            return len(self._entries)
-        return sum(1 for e in self._entries if flt.matches(e))
-
-    def iter_entries(
-        self, flt: EntryFilter = MATCH_ALL, *, by_domain: bool = False
-    ) -> Iterator:
-        """Stream matching entries (domain-sorted with ``by_domain``;
-        the sort is stable, so insertion order survives within a
-        domain)."""
-        source = self._entries
-        if by_domain:
-            source = sorted(source, key=lambda e: e.domain)
-        if flt is MATCH_ALL:
-            yield from source
-        else:
-            yield from (e for e in source if flt.matches(e))
-
-    def group_counts(
-        self, key: str, flt: EntryFilter = MATCH_ALL
-    ) -> Counter:
-        """Counter of matching entries per distinct ``key`` value."""
-        if key not in GROUP_KEYS:
-            raise KeyError(f"cannot group entries by {key!r}")
-        return Counter(
-            _group_value(e, key) for e in self.iter_entries(flt)
-        )
-
-    def get(self, domain: str):
-        """Latest entry for ``domain`` (or ``None``)."""
-        for entry in reversed(self._entries):
-            if entry.domain == domain:
-                return entry
-        return None
-
-    def get_record(self, domain: str) -> dict | None:
-        """Always ``None``: the memory backend drops record JSON."""
-        return None
-
-    # -- quarantine -----------------------------------------------------
-
-    def iter_quarantine(self) -> Iterator[QuarantinedRecord]:
-        """Stream the quarantine table in insertion order."""
-        return iter(self._quarantine)
-
-    def quarantine_counts(self) -> dict[str, int]:
-        """Quarantined rows per taxonomy code."""
-        counts: dict[str, int] = {}
-        for record in self._quarantine:
-            counts[record.reason] = counts.get(record.reason, 0) + 1
-        return counts
-
-    def n_quarantined(self) -> int:
-        """Number of quarantined rows."""
-        return len(self._quarantine)
-
-    # -- audits ---------------------------------------------------------
-
-    def iter_audits(self, *, by_domain: bool = False) -> Iterator:
-        """Stream audit records (domain-sorted with ``by_domain``)."""
-        source = self._audits
-        if by_domain:
-            source = sorted(source, key=lambda a: a.domain)
-        return iter(source)
-
-    def get_audit(self, domain: str):
-        """Latest audit for ``domain`` (or ``None``)."""
-        for audit in reversed(self._audits):
-            if audit.domain == domain:
-                return audit
-        return None
-
-    def n_audits(self) -> int:
-        """Number of audit rows."""
-        return len(self._audits)
-
-    def audit_registrar_counts(self) -> "dict[str | None, tuple[int, int]]":
-        """Per-registrar ``(audited, disagreeing)`` over definite verdicts."""
-        counts: dict[str | None, tuple[int, int]] = {}
-        for audit in self._audits:
-            if audit.verdict == "incomparable":
-                continue
-            audited, bad = counts.get(audit.registrar, (0, 0))
-            counts[audit.registrar] = (
-                audited + 1, bad + (audit.verdict == "disagree")
-            )
-        return counts
-
-    # -- lifecycle ------------------------------------------------------
-
-    def flush(self) -> None:
-        """No-op: memory appends are immediately visible."""
-
-    def close(self) -> None:
-        """No-op: nothing to release."""
-
-    def absorb(self, other: "SurveyStore") -> None:
-        """Merge another store's rows into this one, in its order."""
-        other.flush()
-        self._entries.extend(other.iter_entries())
-        self._quarantine.extend(other.iter_quarantine())
-        self._audits.extend(other.iter_audits())
 
 
 _SCHEMA = """
@@ -413,7 +145,7 @@ _ENTRY_COLUMNS = (
 
 
 class SqliteStore:
-    """The durable backend: a sqlite replica of the survey.
+    """The survey store: a sqlite database, in memory or on disk.
 
     Ingest is batched and transactional -- appends buffer in memory and
     commit ``batch_size`` rows per transaction, so a crash mid-ingest
@@ -425,16 +157,13 @@ class SqliteStore:
     Entries keep their ingest order via the rowid; every read path is a
     streaming cursor (``ORDER BY id`` / ``ORDER BY domain, id``) or a
     SQL aggregate, so a 10-100x-of-RAM survey never materializes in the
-    Python heap.  The optional ``record`` column stores each entry's
-    parsed-record JSON, which is what ``repro query`` answers point
-    queries from.
+    Python heap.  The ``record`` column stores each entry's parsed-record
+    JSON, which is what ``repro query`` answers point queries from.
     """
-
-    persistent = True
 
     def __init__(
         self,
-        path: str | Path,
+        path: str | Path = ":memory:",
         *,
         batch_size: int = 2000,
         fresh: bool = False,
@@ -553,11 +282,6 @@ class SqliteStore:
         if len(self._pending) >= self.batch_size:
             self.flush()
 
-    def extend(self, entries: Iterable) -> None:
-        """Bulk-append entries in order, committing per batch."""
-        for entry in entries:
-            self.append(entry)
-
     def append_quarantined(self, record: QuarantinedRecord) -> None:
         """Buffer one quarantined record (text, taxonomy code, and the
         full error payload survive the round trip)."""
@@ -664,12 +388,16 @@ class SqliteStore:
             counts[value] = n
         return counts
 
-    def get(self, domain: str):
-        """Point query against the replica: latest entry for ``domain``."""
+    def get(self, domain: str, flt: EntryFilter = MATCH_ALL):
+        """Point query: the latest entry for ``domain``, or ``None`` when
+        there is none or that latest entry does not match ``flt`` (an
+        older matching row never stands in for it)."""
         self.flush()
+        where, params = flt.where(
+            "id = (SELECT MAX(id) FROM entries WHERE domain = ?)"
+        )
         row = self._conn.execute(
-            f"{self._SELECT} WHERE domain = ? ORDER BY id DESC LIMIT 1",
-            (domain,),
+            f"{self._SELECT}{where}", [domain, *params]
         ).fetchone()
         return self._entry_from_row(row) if row else None
 
@@ -794,21 +522,6 @@ class SqliteStore:
         obs.inc("survey.store.merged_rows", before)
         return before
 
-    def absorb(self, other: "SurveyStore") -> None:
-        """Merge any store's rows into this replica (file merge when the
-        other side is also sqlite-backed, row copy otherwise)."""
-        other.flush()
-        if isinstance(other, SqliteStore) and other.path != ":memory:":
-            self.merge_file(other.path)
-            return
-        for entry in other.iter_entries():
-            self.append(entry)
-        for record in other.iter_quarantine():
-            self.append_quarantined(record)
-        for audit in other.iter_audits():
-            self.append_audit(audit)
-        self.flush()
-
     def close(self) -> None:
         """Flush pending batches and close the connection."""
         if self._conn is None:
@@ -819,34 +532,10 @@ class SqliteStore:
         self._conn = None
 
 
-def open_store(
-    backend: str = "memory",
-    path: str | Path | None = None,
-    *,
-    fresh: bool = False,
-    batch_size: int = 2000,
-) -> SurveyStore:
-    """Build a backend by name: ``memory``, or ``sqlite`` (needs ``path``).
-
-    The CLI's ``--store``/``--db`` flags and ``crawl_and_survey``'s
-    ``store=`` argument both funnel through here.
-    """
-    if backend == "memory":
-        return MemoryStore()
-    if backend == "sqlite":
-        if path is None:
-            raise ValueError("sqlite store needs a database path (--db)")
-        return SqliteStore(path, fresh=fresh, batch_size=batch_size)
-    raise ValueError(f"unknown survey store backend {backend!r}")
-
-
 __all__ = [
     "GROUP_KEYS",
     "EntryFilter",
     "MATCH_ALL",
-    "MemoryStore",
     "SCHEMA_VERSION",
     "SqliteStore",
-    "SurveyStore",
-    "open_store",
 ]

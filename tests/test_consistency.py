@@ -3,15 +3,19 @@
 Field-level diff policy (date spellings, nameserver casing/ordering,
 status vocabularies, privacy-redacted contacts), the seeded
 disagreement injection plan and its oracle, audit-table equivalence
-across store backends and shard counts, the registrar-disagreement
+across in-memory/file stores and shard counts, the registrar-disagreement
 drift signal, and the drift detector's new memory bounds.
 """
 
 from __future__ import annotations
 
+import re
+import time
 from datetime import date
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import build_query_filter, main as cli_main
 from repro.consistency import (
@@ -24,6 +28,7 @@ from repro.consistency import (
     diff_records,
     run_audit,
 )
+from repro.consistency.compare import _clean_email, _find_email
 from repro.consistency.diff import FieldDiff
 from repro.datagen import CorpusConfig, CorpusGenerator
 from repro.netsim.rdap import DisagreementKnob, DisagreementPlan, RdapFace
@@ -32,7 +37,7 @@ from repro.pipeline.drift import DriftDetector, RegistrarDisagreementSignal
 from repro.rdap.convert import rdap_from_json, registration_to_rdap
 from repro.rdap.schema import RdapDomain, RdapEntity
 from repro.survey.ingest import IngestJob
-from repro.survey.store import MemoryStore, SqliteStore
+from repro.survey.store import SqliteStore
 
 
 def _record(**overrides) -> ComparableRecord:
@@ -204,6 +209,46 @@ def test_contact_decorations_are_canonicalized_away():
         )],
     ))
     assert diff_records(whois, rdap).verdict == "agree"
+
+
+#: the former single-regex email search, kept as the oracle of _find_email
+_EMAIL_ORACLE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+")
+
+
+@given(st.text(alphabet=st.sampled_from(list("aZ9._%+-@ é")), max_size=40))
+@settings(max_examples=400, deadline=None)
+@example("contact a.b@c.d")
+@example("@b.c")
+@example("a@")
+@example("a@@b")
+@example("x@y@z.com")
+@example("é@b a@b")
+def test_find_email_equals_regex_search(text):
+    match = _EMAIL_ORACLE.search(text)
+    assert _find_email(text) == (match.group(0) if match else None)
+
+
+def test_clean_email_time_is_linear_in_length():
+    # Doubling the input at most ~2.5x the time (the former regex search
+    # was quadratic in a long run with no "@"). Rounds alternate the two
+    # sizes so a slow stretch of the machine hits both; the best round
+    # of each is compared.
+    shapes = {
+        "run": lambda n: "x" * n,
+        "ats": lambda n: "x@@" * (n // 3),
+        "tail": lambda n: "x" * n + "@host.com",
+    }
+    for name, make in shapes.items():
+        texts = {n: make(n) for n in (20_000, 40_000)}
+        best = {n: float("inf") for n in texts}
+        for _round in range(5):
+            for n, text in texts.items():
+                start = time.perf_counter()
+                for _ in range(20):
+                    _clean_email(text)
+                best[n] = min(best[n], time.perf_counter() - start)
+        ratio = best[40_000] / best[20_000]
+        assert ratio <= 2.5, f"{name}: doubling the input cost {ratio:.2f}x"
 
 
 def test_registrar_display_decoration_agrees():
@@ -386,7 +431,7 @@ def test_audit_rows_identical_across_backends_and_shards(
         db.close()
         return rows, counts
 
-    baseline_rows, baseline_counts = run(MemoryStore(), 1)
+    baseline_rows, baseline_counts = run(SqliteStore(), 1)
     assert baseline_rows  # the comparison below must compare something
     for i, shards in enumerate((1, 3)):
         rows, counts = run(
@@ -394,7 +439,7 @@ def test_audit_rows_identical_across_backends_and_shards(
         )
         assert rows == baseline_rows
         assert counts == baseline_counts
-    rows, counts = run(MemoryStore(), 3)
+    rows, counts = run(SqliteStore(), 3)
     assert rows == baseline_rows
     assert counts == baseline_counts
 
@@ -411,7 +456,7 @@ def test_attach_rdap_reports_missing_payloads(audit_world):
 
 def test_unaudited_jobs_ingest_without_audit_rows(audit_world):
     registrations, jobs, _plan, parser = audit_world
-    store = MemoryStore()
+    store = SqliteStore()
     db, summary = run_audit(
         jobs, parser, rdap_lookup=lambda domain: None, store=store
     )
@@ -425,7 +470,7 @@ def test_point_audit_lookup_composes_with_entry_filter(
     audit_world, tmp_path
 ):
     registrations, jobs, plan, parser = audit_world
-    for store in (MemoryStore(), SqliteStore(tmp_path / "q.db", fresh=True)):
+    for store in (SqliteStore(), SqliteStore(tmp_path / "q.db", fresh=True)):
         face = RdapFace(registrations, plan=plan)
         db, _ = run_audit(
             jobs, parser, rdap_lookup=face.lookup, store=store

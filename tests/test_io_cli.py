@@ -118,6 +118,36 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert "Table 3" in out and "Table 5" in out
 
 
+def test_cli_db_replicas_are_queryable(tmp_path, capsys):
+    """``survey --db`` and ``audit --db`` write replicas that ``query``
+    reads back, with no other flag needed."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    model_path = tmp_path / "model"
+    crawl_path = tmp_path / "crawl.jsonl"
+    main(["generate", str(corpus_path), "--count", "40", "--seed", "6"])
+    main(["train", str(corpus_path), str(model_path)])
+    main(["crawl", str(crawl_path), "--domains", "60", "--seed", "6"])
+    with crawl_path.open() as handle:
+        rows = [json.loads(line) for line in handle]
+    domain = next(row["domain"] for row in rows if row.get("thick_text"))
+
+    survey_db = tmp_path / "survey.db"
+    assert main(["survey", str(model_path), str(crawl_path),
+                 "--db", str(survey_db)]) == 0
+    capsys.readouterr()
+    assert main(["query", "--db", str(survey_db), domain, "--full"]) == 0
+    assert json.loads(capsys.readouterr().out)["domain"] == domain
+
+    audit_db = tmp_path / "audit.db"
+    assert main(["audit", str(model_path), "--domains", "40",
+                 "--db", str(audit_db)]) == 0
+    capsys.readouterr()
+    assert main(["query", "--db", str(audit_db), "--consistency"]) == 0
+    out = capsys.readouterr().out
+    assert out.strip()
+    assert "[unaudited]" not in out
+
+
 def test_cli_parse_from_stdin(tmp_path, capsys, monkeypatch):
     import io
 

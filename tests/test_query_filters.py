@@ -1,8 +1,8 @@
 """``repro query`` filter flags composing with the PR-7 ``EntryFilter``.
 
-The satellite's contract: ``--registrar`` / ``--status`` flags compile
-into one :class:`~repro.survey.store.EntryFilter` that answers
-identically on both storage backends, ``--thin``/``--full`` select the
+The contract: ``--registrar`` / ``--status`` flags compile into one
+:class:`~repro.survey.store.EntryFilter` that answers identically on an
+in-memory store and a file replica, ``--thin``/``--full`` select the
 payload shape, and contradictory status constraints fail loudly.
 """
 
@@ -13,7 +13,7 @@ import pytest
 
 from repro.cli import build_query_filter, main
 from repro.survey.database import DomainEntry
-from repro.survey.store import MemoryStore, SqliteStore
+from repro.survey.store import SqliteStore
 
 
 def _entries():
@@ -31,8 +31,9 @@ def _entries():
 
 @pytest.fixture(params=("memory", "sqlite"))
 def store(request, tmp_path):
+    """``memory`` is a ``":memory:"`` store, ``sqlite`` a file replica."""
     if request.param == "memory":
-        backend = MemoryStore()
+        backend = SqliteStore()
     else:
         backend = SqliteStore(tmp_path / "replica.db", fresh=True)
     for entry in _entries():

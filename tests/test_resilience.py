@@ -24,11 +24,11 @@ from repro.resilience import (
     BreakerPolicy,
     CircuitBreaker,
     Hedge,
-    Quarantine,
     RecordGate,
     RetryPolicy,
 )
 from repro.resilience.quarantine import _suspicious_fraction
+from repro.survey.database import SurveyDatabase
 
 
 # ----------------------------------------------------------------------
@@ -248,15 +248,15 @@ def test_breaker_policy_validates_and_loads():
 
 
 def test_quarantine_store_is_queryable_by_reason():
-    quarantine = Quarantine()
-    quarantine.add("a.com", "", GarbledRecord("empty", domain="a.com"))
-    quarantine.add("b.com", "x", Truncated("short", domain="b.com"))
-    quarantine.add("c.com", "", GarbledRecord("mojibake", domain="c.com"))
-    assert len(quarantine) == 3
-    assert [r.domain for r in quarantine.by_reason("garbled_record")] == [
-        "a.com", "c.com",
-    ]
-    assert quarantine.counts() == {"garbled_record": 2, "truncated": 1}
+    db = SurveyDatabase()
+    db.add_quarantined("a.com", "", GarbledRecord("empty", domain="a.com"))
+    db.add_quarantined("b.com", "x", Truncated("short", domain="b.com"))
+    db.add_quarantined("c.com", "", GarbledRecord("mojibake", domain="c.com"))
+    assert db.n_quarantined == 3
+    assert [
+        r.domain for r in db.iter_quarantine() if r.reason == "garbled_record"
+    ] == ["a.com", "c.com"]
+    assert db.quarantine_counts() == {"garbled_record": 2, "truncated": 1}
 
 
 CLEAN_RECORD = (

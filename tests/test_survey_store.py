@@ -1,9 +1,10 @@
-"""Backend-equivalence and durability tests for the survey store layer.
+"""Equivalence and durability tests for the survey store layer.
 
 The contract under test: every Section 6 table, the churn diff, and the
-quarantine accounting are *bit-identical* between the in-memory backend
-and the sqlite replica, sharded ingest is row-identical to inline
-ingest, and a crash mid-ingest never exposes a partial batch.
+quarantine accounting are *bit-identical* between an in-memory
+(``":memory:"``) store and a file replica, filters agree with a Python
+predicate over the ingested rows, sharded ingest is row-identical to
+inline ingest, and a crash mid-ingest never exposes a partial batch.
 """
 
 import datetime
@@ -11,6 +12,7 @@ import os
 import sqlite3
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
@@ -37,12 +39,7 @@ from repro.survey.analysis import (
 from repro.survey.changes import diff_snapshots
 from repro.survey.database import DomainEntry, SurveyDatabase
 from repro.survey.ingest import IngestJob, sharded_ingest
-from repro.survey.store import (
-    EntryFilter,
-    MemoryStore,
-    SqliteStore,
-    open_store,
-)
+from repro.survey.store import EntryFilter, SqliteStore
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -56,10 +53,14 @@ def _parsed(country="United States", name="John Smith", org="BlueTech LLC",
     return record
 
 
-def _populate(db: SurveyDatabase, *, seed: int = 900, n: int = 400) -> None:
+def _populate(
+    db: SurveyDatabase, *, seed: int = 900, n: int = 400
+) -> list[DomainEntry]:
     """Fill a survey from generator registrations (mixed years, countries,
-    privacy, blacklist) -- the same rows regardless of backend."""
+    privacy, blacklist) -- the same rows regardless of store -- and
+    return the entries ingested, in order."""
     gen = CorpusGenerator(CorpusConfig(seed=seed))
+    entries = []
     for i, registration in enumerate(gen.registrations(n)):
         record = ParsedRecord()
         record.registrar = registration.registrar_name
@@ -71,12 +72,15 @@ def _populate(db: SurveyDatabase, *, seed: int = 900, n: int = 400) -> None:
             "org": privacy or registration.registrant.org,
             "country": registration.registrant.country_display,
         }
-        db.add_parsed(registration.domain, record, blacklisted=(i % 17 == 0))
+        entries.append(db.add_parsed(
+            registration.domain, record, blacklisted=(i % 17 == 0)
+        ))
     db.flush()
+    return entries
 
 
-def _both_backends(tmp_path, *, seed=900, n=400):
-    memory = SurveyDatabase(MemoryStore())
+def _memory_and_file(tmp_path, *, seed=900, n=400):
+    memory = SurveyDatabase()
     replica = SurveyDatabase(
         SqliteStore(tmp_path / "survey.db", fresh=True, batch_size=64)
     )
@@ -85,17 +89,30 @@ def _both_backends(tmp_path, *, seed=900, n=400):
     return memory, replica
 
 
+def _matches(flt: EntryFilter, entry: DomainEntry) -> bool:
+    """The filter as a Python predicate: the oracle of its SQL."""
+    year = entry.creation_year
+    return (
+        (flt.blacklisted is None or entry.blacklisted == flt.blacklisted)
+        and (flt.private is None or entry.is_private == flt.private)
+        and (flt.year is None or year == flt.year)
+        and (flt.through_year is None
+             or (year is not None and year <= flt.through_year))
+        and (flt.registrar is None or entry.registrar == flt.registrar)
+    )
+
+
 def _rows(table):
     return [(row.key, row.count, row.share) for row in table]
 
 
 # ----------------------------------------------------------------------
-# Backend equivalence: Section 6 tables
+# In-memory vs file store: Section 6 tables
 # ----------------------------------------------------------------------
 
 
 def test_section6_tables_bit_identical_across_backends(tmp_path):
-    memory, replica = _both_backends(tmp_path)
+    memory, replica = _memory_and_file(tmp_path)
     assert len(memory) == len(replica)
     assert _rows(top_registrant_countries(memory)) == \
         _rows(top_registrant_countries(replica))
@@ -118,7 +135,7 @@ def test_section6_tables_bit_identical_across_backends(tmp_path):
 
 
 def test_filter_views_compose_identically(tmp_path):
-    memory, replica = _both_backends(tmp_path)
+    memory, replica = _memory_and_file(tmp_path)
     for db_a, db_b in ((memory, replica),):
         for view in (
             lambda d: d.created_in(2014),
@@ -137,8 +154,8 @@ def test_filter_views_compose_identically(tmp_path):
 
 
 def test_churn_diff_identical_across_backends(tmp_path):
-    mem_a, sql_a = _both_backends(tmp_path, seed=900, n=250)
-    mem_b = SurveyDatabase(MemoryStore())
+    mem_a, sql_a = _memory_and_file(tmp_path, seed=900, n=250)
+    mem_b = SurveyDatabase()
     sql_b = SurveyDatabase(SqliteStore(tmp_path / "b.db", fresh=True))
     _populate(mem_b, seed=901, n=250)
     _populate(sql_b, seed=901, n=250)
@@ -153,7 +170,7 @@ def test_churn_diff_identical_across_backends(tmp_path):
     assert mem_report.dropped == sql_report.dropped
     assert mem_report.appeared == sql_report.appeared
     assert mem_report.transfer_flows() == sql_report.transfer_flows()
-    # Cross-backend diffs work too: memory snapshot vs sqlite replica.
+    # Mixed diffs work too: in-memory snapshot vs file replica.
     cross = diff_snapshots(mem_a, sql_b)
     assert cross.summary() == mem_report.summary()
     sql_a.close()
@@ -161,7 +178,7 @@ def test_churn_diff_identical_across_backends(tmp_path):
 
 
 def test_quarantine_identical_across_backends(tmp_path):
-    memory = SurveyDatabase(MemoryStore())
+    memory = SurveyDatabase()
     replica = SurveyDatabase(SqliteStore(tmp_path / "q.db", fresh=True))
     for db in (memory, replica):
         db.add_parsed("ok.com", _parsed())
@@ -213,6 +230,40 @@ def test_point_query_roundtrips_parsed_record(tmp_path):
     assert db.get("absent.com") is None
     assert store.get_record("exact.com") == parsed.to_jsonable()
     assert store.get_record("absent.com") is None
+    db.close()
+
+
+def test_default_store_is_in_memory_and_keeps_records():
+    db = SurveyDatabase()
+    assert db.store.path == ":memory:"
+    parsed = _parsed()
+    db.add_parsed("exact.com", parsed)
+    assert db.store.get_record("exact.com") == parsed.to_jsonable()
+    db.close()
+
+
+@pytest.mark.parametrize("where", ["memory", "file"])
+def test_view_get_answers_only_from_the_latest_row(tmp_path, where):
+    """An older row matching the view's filter never stands in for a
+    latest row that does not."""
+    store = (
+        SqliteStore() if where == "memory"
+        else SqliteStore(tmp_path / "latest.db", fresh=True)
+    )
+    db = SurveyDatabase(store)
+    db.add_parsed("moved.com", _parsed(created=datetime.date(2014, 3, 5)))
+    db.add_parsed("moved.com", _parsed(
+        created=datetime.date(2015, 6, 1),
+        name="Registration Private", org="WhoisGuard, Inc.",
+    ))
+    db.flush()
+    assert db.get("moved.com").creation_year == 2015
+    assert db.created_in(2015).get("moved.com").creation_year == 2015
+    assert db.created_in(2014).get("moved.com") is None
+    assert db.public().get("moved.com") is None
+    assert db.private().get("moved.com").is_private
+    assert db.created_in(2015).public().get("moved.com") is None
+    assert db.created_in(2014).get("absent.com") is None
     db.close()
 
 
@@ -287,15 +338,23 @@ def test_sharded_ingest_rows_identical_to_inline(tmp_path, tiny_world):
     )
     assert [e for e in inline] == [e for e in sharded]
     assert _rows(top_registrars(inline)) == _rows(top_registrars(sharded))
+    assert [sharded.store.get_record(job.domain) for job in jobs] == \
+        [inline.store.get_record(job.domain) for job in jobs]
     sharded.close()
+    # The shard files lived beside the replica and are gone after merge.
+    assert [p.name for p in tmp_path.iterdir()] == ["sharded.db"]
 
 
-def test_sharded_ingest_memory_destination(tiny_world):
+def test_sharded_ingest_memory_destination(tmp_path, tiny_world,
+                                           monkeypatch):
     parser, jobs = tiny_world
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     inline = sharded_ingest(jobs, parser, shards=1)
     sharded = sharded_ingest(jobs, parser, shards=3)
-    assert isinstance(sharded.store, MemoryStore)
+    assert sharded.store.path == ":memory:"
     assert list(inline) == list(sharded)
+    # The shard files went to a temporary directory, removed after merge.
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sharded_ingest_quarantines_through_the_gate(tmp_path, tiny_world):
@@ -319,23 +378,16 @@ def test_sharded_ingest_quarantines_through_the_gate(tmp_path, tiny_world):
 
 
 # ----------------------------------------------------------------------
-# Facade: factory, filter SQL
+# Filter SQL against a Python oracle
 # ----------------------------------------------------------------------
 
 
-def test_open_store_factory(tmp_path):
-    assert isinstance(open_store("memory"), MemoryStore)
-    store = open_store("sqlite", tmp_path / "f.db", fresh=True)
-    assert isinstance(store, SqliteStore)
-    store.close()
-    with pytest.raises(ValueError):
-        open_store("sqlite")  # needs a path
-    with pytest.raises(ValueError):
-        open_store("csv")
-
-
 def test_entry_filter_sql_matches_predicate(tmp_path):
-    memory, replica = _both_backends(tmp_path, n=120)
+    memory = SurveyDatabase()
+    replica = SurveyDatabase(SqliteStore(tmp_path / "survey.db", fresh=True))
+    rows = _populate(memory, n=120)
+    assert _populate(replica, n=120) == rows
+    registrar = rows[0].registrar
     filters = [
         EntryFilter(),
         EntryFilter(year=2014),
@@ -343,9 +395,18 @@ def test_entry_filter_sql_matches_predicate(tmp_path):
         EntryFilter(blacklisted=True),
         EntryFilter(private=False),
         EntryFilter(year=2014, private=True, blacklisted=False),
+        EntryFilter(registrar=registrar, blacklisted=False),
     ]
     for flt in filters:
-        assert memory.store.count(flt) == replica.store.count(flt)
+        expected = [e for e in rows if _matches(flt, e)]
+        assert memory.store.count(flt) == replica.store.count(flt) == \
+            len(expected)
+        assert list(memory.store.iter_entries(flt)) == expected
+        assert list(replica.store.iter_entries(flt)) == expected
+    assert any(
+        0 < sum(_matches(flt, e) for e in rows) < len(rows)
+        for flt in filters
+    )
     replica.close()
 
 
